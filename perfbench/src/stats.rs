@@ -1,0 +1,43 @@
+//! Order statistics over timing samples.
+
+/// The `q`-quantile (`0.0..=1.0`) of `values` by linear interpolation
+/// between closest ranks; `NaN` for an empty slice.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return f64::NAN;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+/// The median of `values`.
+pub fn median(values: &[f64]) -> f64 {
+    quantile(values, 0.5)
+}
+
+/// `num / den`, or `NaN` when the denominator is zero.
+pub fn ratio(num: f64, den: f64) -> f64 {
+    if den == 0.0 {
+        f64::NAN
+    } else {
+        num / den
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        let v = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(quantile(&v, 0.0), 1.0);
+        assert_eq!(quantile(&v, 1.0), 4.0);
+        assert_eq!(median(&v), 2.5);
+        assert!(median(&[]).is_nan());
+    }
+}
