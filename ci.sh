@@ -11,7 +11,7 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> clippy fault-path gate: no unwrap/panic in rfsim + core lib code"
-# Execution paths through Graph::run / run_streaming / run_scenarios must
+# Execution paths through Graph::execute and the SweepPlan contracts must
 # degrade via typed SimError values, never unwind. Only the library
 # targets are gated (--lib skips #[cfg(test)] modules, integration tests
 # and benches, which are free to unwrap/assert).
@@ -19,25 +19,6 @@ cargo clippy -p rfsim -p ofdm-core --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic
 cargo clippy -p ofdm-bench --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic
-
-echo "==> deprecation gate: no deprecated calls outside tests"
-# The legacy sweep runners (run_scenarios and friends) are deprecated
-# delegating wrappers over SweepPlan; library, binary and bench code must
-# be fully migrated. Integration tests are exempt — they deliberately keep
-# the wrappers under test until removal.
-cargo clippy --workspace --lib --bins --benches -- -D warnings -D deprecated
-
-echo "==> public-api smoke: deprecated sweep wrappers stay exported"
-# The wrappers are deprecated, not deleted: downstream callers must get a
-# deprecation note, never a hard break. Each must still exist with its
-# public generic signature.
-for wrapper in run_scenarios run_scenarios_instrumented run_scenarios_resilient \
-    run_scenarios_supervised run_scenarios_checkpointed; do
-    grep -q "pub fn ${wrapper}<" crates/rfsim/src/scenario.rs || {
-        echo "public-api smoke failed: missing wrapper ${wrapper}" >&2
-        exit 1
-    }
-done
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 # Broken intra-doc links and malformed doc comments fail the gate; the
@@ -48,43 +29,46 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> crate tests: cargo test -q --workspace"
+# The root package's `cargo test` skips the member crates' own suites:
+# the rfsim/bench unit tests and crates/bench/tests (lab engine, the
+# E1-E11 migration equivalences, and the E10 watchdog/breaker/resume and
+# waterfall smoke specs with their exact-count assertions).
+cargo test -q --workspace --exclude ofdm-ip-family
+
 echo "==> telemetry smoke: experiments --emit-bench / --check-bench"
 # A tiny instrumented sweep over all ten standards; --check-bench fails the
-# gate if the emitted JSON is missing any per-block or per-stage key, if
-# the exec-engine ratio leaves [0.95, 1.05], or if the simd_speedup gate
-# trips: any standard's batched kernel below 1x of the scalar polar path,
-# 802.11a or DVB-T below 5x, or the family geomean below 3x.
+# gate if the emitted JSON is missing any per-block or per-stage key, or if
+# the simd_speedup gate trips: any standard's batched kernel below 1x of
+# the scalar polar path, 802.11a or DVB-T below 5x, or the family geomean
+# below 3x.
 cargo run --release -q -p ofdm-bench --bin experiments -- \
     --emit-bench BENCH_ofdm.json --bench-symbols 4
-
-echo "==> waterfall smoke: experiments --waterfall"
-# Fixed-seed BER-vs-SNR grid (2 standards x 4 SNR points) through the
-# checkpointed sweep path; the emitted waterfall.json is byte-stable (BER
-# tallies carry no timing) and is validated as a --check-bench sibling:
-# finite values, BER in [0, 1], and monotone-descending curves.
-cargo run --release -q -p ofdm-bench --bin experiments -- \
-    --waterfall waterfall.json
 
 cargo run --release -q -p ofdm-bench --bin experiments -- \
     --check-bench BENCH_ofdm.json
 
-echo "==> lab smoke: experiments --spec examples/lab/smoke.json"
-# The declarative experiment lab end to end: run a small spec through the
-# engine, emit the byte-stable lab/v1 document, and validate it (shape,
-# finiteness, verdict) with --check-lab. The legacy --faults/--supervise
-# smokes live on as lab specs (e9_faults, e10_*) exercised by the same
-# engine; the spec-file library itself is covered by `cargo test`.
+echo "==> lab smokes: experiments --spec (smoke, waterfall_smoke)"
+# The declarative experiment lab end to end: run each small spec through
+# the engine, emit the byte-stable lab/v1 document, and validate it
+# (shape, finiteness, verdict) with --check-lab. smoke.json is a
+# zero-error loopback on two presets; waterfall_smoke.json is a fixed-seed
+# BER-vs-SNR grid (2 standards x 4 SNR points) whose assertions hold BER
+# in [0, 1], the curves monotone-descending and the last SNR point below
+# the first. The E9/E10 specs run in the crate tests above.
 LAB_DIR=$(mktemp -d)
 trap 'rm -rf "$LAB_DIR"' EXIT
-cargo run --release -q -p ofdm-bench --bin experiments -- \
-    --spec examples/lab/smoke.json --lab-out "$LAB_DIR/lab_smoke.json"
-cargo run --release -q -p ofdm-bench --bin experiments -- \
-    --check-lab "$LAB_DIR/lab_smoke.json"
-# Byte-stability gate: a second run must reproduce the document exactly.
-cargo run --release -q -p ofdm-bench --bin experiments -- \
-    --spec examples/lab/smoke.json --lab-out "$LAB_DIR/lab_smoke_2.json" >/dev/null
-cmp "$LAB_DIR/lab_smoke.json" "$LAB_DIR/lab_smoke_2.json" \
-    || { echo "lab smoke: lab/v1 document is not byte-stable" >&2; exit 1; }
+for spec in smoke waterfall_smoke; do
+    cargo run --release -q -p ofdm-bench --bin experiments -- \
+        --spec "examples/lab/$spec.json" --lab-out "$LAB_DIR/$spec.json"
+    cargo run --release -q -p ofdm-bench --bin experiments -- \
+        --check-lab "$LAB_DIR/$spec.json"
+    # Byte-stability gate: a second run must reproduce the document exactly.
+    cargo run --release -q -p ofdm-bench --bin experiments -- \
+        --spec "examples/lab/$spec.json" --lab-out "$LAB_DIR/${spec}_2.json" >/dev/null
+    cmp "$LAB_DIR/$spec.json" "$LAB_DIR/${spec}_2.json" \
+        || { echo "lab smoke: $spec lab/v1 document is not byte-stable" >&2; exit 1; }
+done
 
 echo "==> service smoke: rfsim-server / rfsim-cli round trip"
 # Boot the simulation service on an ephemeral port, submit the example

@@ -59,7 +59,7 @@ fn bench_impairment_sweep(c: &mut Criterion) {
             let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(8.0));
             let probe = g.add(CcdfProbe::new());
             g.chain(&[src, pa, probe]).expect("wires");
-            g.run().expect("runs");
+            g.execute(&ExecPlan::batch()).expect("runs");
             black_box(g.block::<CcdfProbe>(probe).expect("present").papr_db())
         });
     });

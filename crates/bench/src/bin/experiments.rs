@@ -29,16 +29,8 @@
 //! Fault-injection smoke sweep (E9 alone): `… --bin experiments -- --faults`.
 //!
 //! Supervised-runtime smoke sweep (E10 alone): `… --bin experiments -- --supervise`.
-//!
-//! BER-vs-SNR waterfall smoke (fixed seed, machine-readable output):
-//!
-//! ```text
-//! … --bin experiments -- --waterfall waterfall.json
-//! ```
 
-use ofdm_bench::lab::workloads::{e10_scenario_power, run_fault_sweep};
 use ofdm_bench::lab::{report, ExperimentSpec, LabOptions};
-use ofdm_bench::waterfall::{run_waterfall, waterfall_json, ChannelProfile, WaterfallSpec};
 use ofdm_bench::{gates, payload_bits, time_per_run};
 use ofdm_core::{MotherModel, StreamState};
 use ofdm_rtl::Tx80211aRtl;
@@ -47,7 +39,6 @@ use ofdm_standards::{default_params, StandardId};
 use rfsim::prelude::*;
 use serde::json::Value;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Short experiment name → spec files under the lab directory. One name
 /// can fan out to several specs (the legacy experiment had several
@@ -80,7 +71,7 @@ fn usage() -> String {
     format!(
         "experiments: {}; flags: --spec FILE, --lab-dir DIR, --lab-out FILE, \
          --lab-checkpoint FILE, --check-lab FILE, --list, --emit-bench FILE, \
-         --check-bench FILE, --bench-symbols N, --waterfall FILE, --faults, --supervise",
+         --check-bench FILE, --bench-symbols N, --faults, --supervise",
         names.join(", ")
     )
 }
@@ -104,7 +95,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut emit_bench: Option<String> = None;
     let mut check_bench: Option<String> = None;
     let mut check_lab: Option<String> = None;
-    let mut waterfall_out: Option<String> = None;
     let mut lab_out: Option<String> = None;
     let mut lab_ckpt: Option<String> = None;
     let mut lab_dir_arg: Option<String> = None;
@@ -123,9 +113,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             "--check-lab" => {
                 check_lab = Some(it.next().ok_or("--check-lab needs a file path")?);
-            }
-            "--waterfall" => {
-                waterfall_out = Some(it.next().ok_or("--waterfall needs a file path")?);
             }
             "--spec" => {
                 spec_files.push(PathBuf::from(it.next().ok_or("--spec needs a file path")?));
@@ -172,9 +159,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(path) = &emit_bench {
         emit_bench_json(path, bench_symbols)?;
     }
-    if let Some(path) = &waterfall_out {
-        emit_waterfall_json(path)?;
-    }
     if let Some(path) = &check_bench {
         for line in gates::check_bench_json(path)? {
             println!("{line}");
@@ -185,10 +169,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("{line}");
         }
     }
-    let had_side_job = emit_bench.is_some()
-        || check_bench.is_some()
-        || check_lab.is_some()
-        || waterfall_out.is_some();
+    let had_side_job = emit_bench.is_some() || check_bench.is_some() || check_lab.is_some();
 
     // Resolve short names against the lab directory; `--spec` paths ride
     // along as-is. No selection at all means the full E1–E13 suite —
@@ -238,40 +219,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if failed {
         return Err("at least one lab assertion failed".into());
     }
-    Ok(())
-}
-
-/// The fixed-seed waterfall smoke grid behind `--waterfall`: two
-/// standards × four SNR points, small enough for CI, deterministic
-/// enough that the emitted `waterfall.json` is byte-stable across runs
-/// and machines (BER tallies carry no timing).
-fn waterfall_smoke_spec() -> WaterfallSpec {
-    WaterfallSpec {
-        standards: vec![StandardId::Ieee80211a, StandardId::Dab],
-        snr_db: vec![0.0, 6.0, 12.0, 18.0],
-        realizations: 3,
-        payload_bits: 2000,
-        base_seed: 0xE11,
-        profile: ChannelProfile::Awgn,
-        threads: 0,
-    }
-}
-
-/// `--waterfall FILE` — runs the fixed-seed smoke grid through the
-/// checkpointed sweep path and writes the `waterfall/v1` document.
-fn emit_waterfall_json(path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = waterfall_smoke_spec();
-    let ckpt = std::path::Path::new(path).with_extension("ckpt.json");
-    let report = run_waterfall(&spec, Some(&ckpt))?;
-    let doc = waterfall_json(&spec, &report);
-    std::fs::write(path, format!("{doc}\n"))?;
-    println!(
-        "wrote {path}: {} standards x {} SNR points x {} realizations ({} resumed)",
-        spec.standards.len(),
-        spec.snr_db.len(),
-        spec.realizations,
-        report.resumed,
-    );
     Ok(())
 }
 
@@ -375,11 +322,15 @@ fn bench_chain(params: &ofdm_core::params::OfdmParams, bits: usize) -> Graph {
 fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::error::Error>> {
     let n_symbols = n_symbols.max(1);
     const CHUNK: usize = 256;
+    let plain = ExecPlan::streaming(CHUNK);
+    let instrumented = plain.clone().with_telemetry(true);
     let mut standards: Vec<(String, Value)> = Vec::new();
     for id in StandardId::ALL {
         let p = default_params(id);
         let bits = n_symbols * p.nominal_bits_per_symbol().max(100);
-        let report = bench_chain(&p, bits).run_streaming_instrumented(CHUNK)?;
+        let report = bench_chain(&p, bits)
+            .execute(&instrumented)?
+            .ok_or("telemetry requested but no report")?;
         let per_block: Vec<(String, Value)> = report
             .blocks
             .iter()
@@ -440,52 +391,18 @@ fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::erro
     let wlan = ieee80211a::params(rate);
     let t_plain = time_per_run(
         || {
-            bench_chain(&wlan, wlan_bits)
-                .run_streaming(CHUNK)
-                .expect("runs");
+            bench_chain(&wlan, wlan_bits).execute(&plain).expect("runs");
         },
         3,
     );
     let t_inst = time_per_run(
         || {
             bench_chain(&wlan, wlan_bits)
-                .run_streaming_instrumented(CHUNK)
+                .execute(&instrumented)
                 .expect("runs");
         },
         3,
     );
-
-    // Unified-engine guard: the legacy shim entrypoint vs an explicit
-    // `ExecPlan` driving the same chain. The shim is a one-line delegate,
-    // so anything outside timing noise (< 5%, enforced by `--check-bench`)
-    // means the refactor grew a real cost. The bursts are interleaved and
-    // each side keeps its best window, so slow frequency/load drift over
-    // the measurement hits both entrypoints instead of biasing the ratio.
-    // One prebuilt graph per entrypoint — graph/model construction is
-    // allocation-heavy and jittery, and the gate times the scheduler loop,
-    // not the constructors.
-    let engine_plan = ExecPlan::streaming(CHUNK);
-    let mut g_shim = bench_chain(&wlan, wlan_bits);
-    let mut g_engine = bench_chain(&wlan, wlan_bits);
-    let mut t_shim = f64::INFINITY;
-    let mut t_engine = f64::INFINITY;
-    for _ in 0..8 {
-        let t = std::time::Instant::now();
-        for _ in 0..8 {
-            g_shim.run_streaming(CHUNK).expect("runs");
-        }
-        t_shim = t_shim.min(t.elapsed().as_secs_f64() / 8.0);
-        let t = std::time::Instant::now();
-        for _ in 0..8 {
-            g_engine.execute(&engine_plan).expect("runs");
-        }
-        t_engine = t_engine.min(t.elapsed().as_secs_f64() / 8.0);
-    }
-
-    // Fault-injection sweep outcome counts (the graceful-degradation gate
-    // rides along in the trajectory file).
-    let (_, fault_sweep) = run_fault_sweep();
-    let faults = fault_sweep.faults.expect("resilient sweep reports faults");
 
     let doc = Value::Object(vec![
         ("schema".into(), "bench-ofdm/v1".into()),
@@ -499,16 +416,6 @@ fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::erro
             finite_ratio(t_inst, t_plain).into(),
         ),
         ("standards".into(), Value::Object(standards)),
-        (
-            "exec_engine".into(),
-            Value::Object(vec![
-                ("shim_ns".into(), (t_shim * 1e9).into()),
-                ("engine_ns".into(), (t_engine * 1e9).into()),
-                ("ratio".into(), finite_ratio(t_engine, t_shim).into()),
-            ]),
-        ),
-        ("fault_sweep".into(), faults.to_json_value()),
-        ("supervision".into(), supervision_snapshot()?),
         ("simd_speedup".into(), simd_speedup_snapshot()?),
     ]);
     let simd_geomean = doc
@@ -519,91 +426,11 @@ fn emit_bench_json(path: &str, n_symbols: usize) -> Result<(), Box<dyn std::erro
     std::fs::write(path, format!("{doc}\n"))?;
     println!(
         "wrote {path}: {} standards, RTL/behavioral {:.1}x, instrumentation overhead {:.3}x, \
-         engine/shim {:.3}x, fault survival {:.0}%, SoA kernel geomean {:.1}x",
+         SoA kernel geomean {:.1}x",
         StandardId::ALL.len(),
         finite_ratio(t_rtl, t_beh),
         finite_ratio(t_inst, t_plain),
-        finite_ratio(t_engine, t_shim),
-        faults.survival_rate() * 100.0,
         simd_geomean,
     );
     Ok(())
-}
-
-/// The supervised-runtime gate riding along in the trajectory file: a
-/// breaker-degraded streaming run (health, trips, bypasses), a tiny
-/// watchdogged sweep with one hung scenario (deadline kills), and a
-/// two-pass checkpointed sweep (resumed count).
-fn supervision_snapshot() -> Result<Value, Box<dyn std::error::Error>> {
-    // Breaker: an always-failing impairment trips on the first chunk and
-    // the rest of the pass bypasses it.
-    let mut g = Graph::new();
-    let src = g.add(ToneSource::new(1.0e6, 20.0e6, 2048));
-    let bad = g.add(
-        FaultPlan::new()
-            .with_error_rate(1.0)
-            .wrap(0xB5, NanInjector::new(1.0, 5)),
-    );
-    let pa = g.add(SoftClipPa::new(1.0));
-    g.chain(&[src, bad, pa])?;
-    g.set_breaker_policy(Some(BreakerPolicy::new().with_threshold(1)));
-    let run = g.run_streaming_instrumented(256)?;
-
-    // Watchdog: one of four scenarios hangs and is killed at its budget.
-    let supervisor = SweepSupervisor::new()
-        .with_scenario_budget(Duration::from_millis(150))
-        .with_poll_interval(Duration::from_millis(2));
-    let (_, sweep) = SweepPlan::new(4)
-        .threads(2)
-        .with_supervisor(supervisor)
-        .run(|i, _attempt, ctx| -> Result<f64, SimError> {
-            if i == 3 {
-                let mut g = Graph::new();
-                let src = g.add(StalledSource::new(20.0e6, Duration::from_millis(2)));
-                let pa = g.add(SoftClipPa::new(1.0));
-                g.chain(&[src, pa])?;
-                ctx.supervise(&mut g);
-                g.run_streaming(64)?;
-            }
-            e10_scenario_power(0xBE, i)
-        });
-    let watchdog = sweep
-        .supervision
-        .expect("supervised sweep reports supervision");
-
-    // Checkpoint: persist half a sweep, then resume and merge.
-    const COUNT: usize = 6;
-    let path = std::env::temp_dir().join(format!("rfsim-bench-ckpt-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let mut ckpt = SweepCheckpoint::load_or_new(&path, "bench", COUNT);
-    let plan = SweepPlan::new(COUNT).threads(2);
-    let _ = plan.run_checkpointed(&mut ckpt, |i, _attempt, _ctx| {
-        if i >= COUNT / 2 {
-            return Err(SimError::BlockFailure {
-                block: "bench".into(),
-                message: "interrupted".into(),
-            });
-        }
-        e10_scenario_power(0xCB, i)
-    });
-    drop(ckpt);
-    let mut ckpt = SweepCheckpoint::load_or_new(&path, "bench", COUNT);
-    let (_, resumed_sweep) =
-        plan.run_checkpointed(&mut ckpt, |i, _attempt, _ctx| e10_scenario_power(0xCB, i));
-    let resumed = resumed_sweep
-        .supervision
-        .expect("checkpointed sweep reports supervision")
-        .resumed;
-    ckpt.discard()?;
-
-    Ok(Value::Object(vec![
-        ("health".into(), run.health.as_str().into()),
-        ("breaker_trips".into(), run.breaker_trips.into()),
-        (
-            "bypassed_invocations".into(),
-            run.bypassed_invocations.into(),
-        ),
-        ("deadline_kills".into(), watchdog.deadline_kills.into()),
-        ("resumed".into(), resumed.into()),
-    ]))
 }

@@ -1,9 +1,8 @@
 //! CI gate validators for the machine-readable bench documents.
 //!
 //! Each emitted JSON artifact has a schema-checking twin here:
-//! `BENCH_ofdm.json` (`bench-ofdm/v1`), `waterfall.json`
-//! (`waterfall/v1`) and the experiment-lab report (`lab/v1`). The
-//! `check_*_doc` functions validate an in-memory [`Value`]; the
+//! `BENCH_ofdm.json` (`bench-ofdm/v1`) and the experiment-lab report
+//! (`lab/v1`). The `check_*_doc` functions validate an in-memory [`Value`]; the
 //! `check_*_json` wrappers add file IO and prefix errors with the path.
 //! The experiments binary delegates `--check-bench` / `--check-lab` to
 //! these, and the failure paths are unit-tested below — a gate that only
@@ -26,9 +25,8 @@ fn finite(v: Option<f64>, what: &str) -> Result<f64, String> {
 }
 
 /// Validates a `bench-ofdm/v1` document: every required key present and
-/// well-typed for all ten standards, the optional fault/engine/SIMD/
-/// supervision sections sound when present, and every gated ratio within
-/// its floor. This is the CI gate on the telemetry pipeline.
+/// well-typed for all ten standards, the optional SIMD section sound when
+/// present, and every gated ratio within its floor. This is the CI gate on the telemetry pipeline.
 pub fn check_bench_doc(doc: &Value) -> Result<(), String> {
     if doc.get("schema").and_then(Value::as_str) != Some("bench-ofdm/v1") {
         return Err("missing or wrong `schema` (want \"bench-ofdm/v1\")".into());
@@ -79,55 +77,6 @@ pub fn check_bench_doc(doc: &Value) -> Result<(), String> {
                 stages.get(stage).and_then(Value::as_f64),
                 &format!("`{key}` stage `{stage}`"),
             )?;
-        }
-    }
-    // The fault sweep is optional (older files predate it) but must be
-    // sound when present.
-    if let Some(fs) = doc.get("fault_sweep") {
-        for field in [
-            "succeeded",
-            "retried",
-            "faulted",
-            "panics_caught",
-            "errors_caught",
-        ] {
-            finite(
-                fs.get(field).and_then(Value::as_f64),
-                &format!("`fault_sweep`.`{field}`"),
-            )?;
-        }
-        let rate = finite(
-            fs.get("survival_rate").and_then(Value::as_f64),
-            "`fault_sweep`.`survival_rate`",
-        )?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!(
-                "`fault_sweep`.`survival_rate` must be in [0, 1], got {rate}"
-            ));
-        }
-    }
-    // The unified-engine guard: optional in files predating the ExecPlan
-    // refactor, but when present the plan-driven engine must sit within
-    // timing noise (< 5%) of the legacy shim entrypoint it replaced.
-    if let Some(engine) = doc.get("exec_engine") {
-        for field in ["shim_ns", "engine_ns"] {
-            let v = finite(
-                engine.get(field).and_then(Value::as_f64),
-                &format!("`exec_engine`.`{field}`"),
-            )?;
-            if v <= 0.0 {
-                return Err(format!("`exec_engine`.`{field}` must be positive, got {v}"));
-            }
-        }
-        let ratio = finite(
-            engine.get("ratio").and_then(Value::as_f64),
-            "`exec_engine`.`ratio`",
-        )?;
-        if !(0.95..=1.05).contains(&ratio) {
-            return Err(format!(
-                "`exec_engine`.`ratio` must be within 5% of 1.0 (engine within \
-                 noise of the shim), got {ratio}"
-            ));
         }
     }
     // The SoA payoff gate: optional in files predating the split-layout
@@ -188,150 +137,18 @@ pub fn check_bench_doc(doc: &Value) -> Result<(), String> {
             ));
         }
     }
-    // Same deal for the supervised-runtime gate: optional in older files,
-    // validated when present.
-    if let Some(sup) = doc.get("supervision") {
-        let health = sup
-            .get("health")
-            .and_then(Value::as_str)
-            .ok_or("`supervision` missing string `health`")?;
-        if !["healthy", "degraded", "failed"].contains(&health) {
-            return Err(format!("`supervision`.`health` is `{health}`"));
-        }
-        for field in [
-            "breaker_trips",
-            "bypassed_invocations",
-            "deadline_kills",
-            "resumed",
-        ] {
-            let v = finite(
-                sup.get(field).and_then(Value::as_f64),
-                &format!("`supervision`.`{field}`"),
-            )?;
-            if v < 0.0 {
-                return Err(format!(
-                    "`supervision`.`{field}` must be non-negative, got {v}"
-                ));
-            }
-        }
-    }
     Ok(())
 }
 
-/// `--check-bench FILE`: reads and validates an emitted `BENCH_ofdm.json`.
-/// When a sibling `waterfall.json` exists (the CI smoke emits one next to
-/// the bench file) its curves are validated too. Returns the human
-/// summary lines to print.
+/// `--check-bench FILE`: reads and validates an emitted `BENCH_ofdm.json`,
+/// returning the human summary lines to print.
 pub fn check_bench_json(path: &str) -> Result<Vec<String>, String> {
     let doc = read_doc(path)?;
     check_bench_doc(&doc).map_err(|e| format!("{path}: {e}"))?;
-    let mut messages = Vec::new();
-    let sibling = std::path::Path::new(path).with_file_name("waterfall.json");
-    if sibling.exists() {
-        messages.extend(check_waterfall_json(&sibling.to_string_lossy())?);
-    }
-    messages.push(format!("{path}: ok ({} standards)", StandardId::ALL.len()));
-    Ok(messages)
-}
-
-/// Validates a `waterfall/v1` document: shape, finite values, BER within
-/// `[0, 1]` and consistent with its `errors/bits` tally, and per-standard
-/// curves that descend with SNR (small slack per step for counting noise,
-/// none for the endpoints). Returns the number of curves checked.
-pub fn check_waterfall_doc(doc: &Value) -> Result<usize, String> {
-    if doc.get("schema").and_then(Value::as_str) != Some("waterfall/v1") {
-        return Err("missing or wrong `schema` (want \"waterfall/v1\")".into());
-    }
-    let snr = doc
-        .get("snr_db")
-        .and_then(Value::as_array)
-        .ok_or("missing array `snr_db`")?;
-    if snr.is_empty() {
-        return Err("`snr_db` is empty".into());
-    }
-    let mut prev = f64::NEG_INFINITY;
-    for (i, v) in snr.iter().enumerate() {
-        let db = v
-            .as_f64()
-            .filter(|d| d.is_finite())
-            .ok_or_else(|| format!("`snr_db[{i}]` is not a finite number"))?;
-        if db <= prev {
-            return Err(format!("`snr_db` must increase at index {i}"));
-        }
-        prev = db;
-    }
-    let standards = doc
-        .get("standards")
-        .and_then(Value::as_object)
-        .ok_or("missing object `standards`")?;
-    if standards.is_empty() {
-        return Err("`standards` is empty".into());
-    }
-    for (key, curve) in standards {
-        let series = |field: &str| -> Result<Vec<f64>, String> {
-            let arr = curve
-                .get(field)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("`{key}` missing array `{field}`"))?;
-            if arr.len() != snr.len() {
-                return Err(format!(
-                    "`{key}`.`{field}` has {} points, want {}",
-                    arr.len(),
-                    snr.len()
-                ));
-            }
-            arr.iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    v.as_f64()
-                        .filter(|x| x.is_finite())
-                        .ok_or_else(|| format!("`{key}`.`{field}[{i}]` is not finite"))
-                })
-                .collect()
-        };
-        let ber = series("ber")?;
-        let errors = series("errors")?;
-        let bits = series("bits")?;
-        for i in 0..snr.len() {
-            if !(0.0..=1.0).contains(&ber[i]) {
-                return Err(format!("`{key}`.`ber[{i}]` outside [0, 1]: {}", ber[i]));
-            }
-            if bits[i] <= 0.0 || errors[i] < 0.0 || errors[i] > bits[i] {
-                return Err(format!(
-                    "`{key}` point {i}: bad tally {}/{}",
-                    errors[i], bits[i]
-                ));
-            }
-            if (ber[i] - errors[i] / bits[i]).abs() > 1e-9 {
-                return Err(format!("`{key}`.`ber[{i}]` inconsistent with errors/bits"));
-            }
-        }
-        for (i, w) in ber.windows(2).enumerate() {
-            if w[1] > w[0] + (0.05 * w[0]).max(1e-3) {
-                return Err(format!(
-                    "`{key}`: BER rises from {:.3e} to {:.3e} at SNR index {}",
-                    w[0],
-                    w[1],
-                    i + 1
-                ));
-            }
-        }
-        let (first, last) = (ber[0], ber[snr.len() - 1]);
-        if last >= first && first > 0.0 {
-            return Err(format!(
-                "`{key}`: waterfall does not descend ({first:.3e} → {last:.3e})"
-            ));
-        }
-    }
-    Ok(standards.len())
-}
-
-/// `--waterfall`'s checking twin: reads and validates a `waterfall/v1`
-/// file, returning the summary lines to print.
-pub fn check_waterfall_json(path: &str) -> Result<Vec<String>, String> {
-    let doc = read_doc(path)?;
-    let curves = check_waterfall_doc(&doc).map_err(|e| format!("{path}: {e}"))?;
-    Ok(vec![format!("{path}: ok ({curves} curves)")])
+    Ok(vec![format!(
+        "{path}: ok ({} standards)",
+        StandardId::ALL.len()
+    )])
 }
 
 /// Validates a `lab/v1` experiment report: schema and identity fields,
@@ -599,34 +416,14 @@ mod tests {
 
     #[test]
     fn bench_doc_rejects_out_of_range_ratios() {
-        let mut doc = valid_bench_doc();
-        set(
-            &mut doc,
-            "exec_engine",
-            obj(vec![
-                ("shim_ns", Value::from(1.0e6)),
-                ("engine_ns", Value::from(1.2e6)),
-                ("ratio", Value::from(1.2)),
-            ]),
-        );
-        let err = check_bench_doc(&doc).expect_err("ratio out of band");
-        assert!(err.contains("within 5%"), "{err}");
-
-        let mut doc = valid_bench_doc();
-        set(
-            &mut doc,
-            "fault_sweep",
-            obj(vec![
-                ("succeeded", Value::from(32.0)),
-                ("retried", Value::from(16.0)),
-                ("faulted", Value::from(16.0)),
-                ("panics_caught", Value::from(16.0)),
-                ("errors_caught", Value::from(32.0)),
-                ("survival_rate", Value::from(1.5)),
-            ]),
-        );
-        let err = check_bench_doc(&doc).expect_err("survival_rate out of range");
-        assert!(err.contains("survival_rate"), "{err}");
+        for key in ["behavioral_vs_rtl_ratio", "instrumented_overhead_ratio"] {
+            for bad in [0.0, -1.0] {
+                let mut doc = valid_bench_doc();
+                set(&mut doc, key, Value::from(bad));
+                let err = check_bench_doc(&doc).expect_err("non-positive ratio");
+                assert!(err.contains(key) && err.contains("positive"), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -662,38 +459,5 @@ mod tests {
         set(&mut doc, "simd_speedup.standards.dvb-t", simd_entry(2.0));
         let err = check_bench_doc(&doc).expect_err("headline floor");
         assert!(err.contains("5x floor"), "{err}");
-    }
-
-    #[test]
-    fn waterfall_doc_rejects_rising_curve() {
-        let doc = obj(vec![
-            ("schema", Value::from("waterfall/v1")),
-            (
-                "snr_db",
-                Value::Array(vec![Value::from(0.0), Value::from(6.0)]),
-            ),
-            (
-                "standards",
-                obj(vec![(
-                    "dab",
-                    obj(vec![
-                        (
-                            "ber",
-                            Value::Array(vec![Value::from(0.1), Value::from(0.2)]),
-                        ),
-                        (
-                            "errors",
-                            Value::Array(vec![Value::from(100.0), Value::from(200.0)]),
-                        ),
-                        (
-                            "bits",
-                            Value::Array(vec![Value::from(1000.0), Value::from(1000.0)]),
-                        ),
-                    ]),
-                )]),
-            ),
-        ]);
-        let err = check_waterfall_doc(&doc).expect_err("rising BER");
-        assert!(err.contains("rises"), "{err}");
     }
 }

@@ -148,7 +148,7 @@ fn rf_cosim(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
     let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(ibo_db));
     let sa = g.add(SpectrumAnalyzer::new(512));
     g.chain(&[src, pa, sa]).map_err(|e| e.to_string())?;
-    g.run().map_err(|e| e.to_string())?;
+    g.execute(&ExecPlan::batch()).map_err(|e| e.to_string())?;
     let sa_ref = g.block::<SpectrumAnalyzer>(sa).ok_or("analyzer missing")?;
     let psd = sa_ref.psd().ok_or("analyzer never ran")?.to_vec();
     let fs = p.sample_rate * 4.0;
@@ -162,7 +162,7 @@ fn rf_cosim(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
     let src = g.add(SamplePlayback::new(frame.signal().clone()));
     let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(ibo_db));
     g.chain(&[src, pa]).map_err(|e| e.to_string())?;
-    g.run().map_err(|e| e.to_string())?;
+    g.execute(&ExecPlan::batch()).map_err(|e| e.to_string())?;
     let out = g.output(pa).ok_or("pa never ran")?.clone();
     let evm_db = evm_after_gain_correction(&p, &frame, &out, 4);
 
@@ -171,7 +171,7 @@ fn rf_cosim(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
     let src = g.add(SamplePlayback::new(oversampled));
     let sa = g.add(SpectrumAnalyzer::new(512));
     g.chain(&[src, sa]).map_err(|e| e.to_string())?;
-    g.run().map_err(|e| e.to_string())?;
+    g.execute(&ExecPlan::batch()).map_err(|e| e.to_string())?;
     let obw = g
         .block::<SpectrumAnalyzer>(sa)
         .ok_or("analyzer missing")?
@@ -227,7 +227,7 @@ fn tx_timing(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
                 let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(8.0));
                 let sa = g.add(SpectrumAnalyzer::new(256));
                 g.chain(&[src, dac, lo, pa, sa]).expect("wires");
-                g.run().expect("runs");
+                g.execute(&ExecPlan::batch()).expect("runs");
             },
             iters,
         )
@@ -247,9 +247,9 @@ fn tx_timing(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
                 let meter = g.add(PowerMeter::new());
                 g.chain(&[src, pa, meter]).expect("wires");
                 if streaming {
-                    g.run_streaming(80).expect("runs");
+                    g.execute(&ExecPlan::streaming(80)).expect("runs");
                 } else {
-                    g.run().expect("runs");
+                    g.execute(&ExecPlan::batch()).expect("runs");
                 }
             },
             iters,
@@ -374,7 +374,7 @@ fn evm_chain(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
         other => return Err(format!("unknown impairment `{other}` (pa, lo, dropper)")),
     };
     g.chain(&[src, tail]).map_err(|e| e.to_string())?;
-    g.run().map_err(|e| e.to_string())?;
+    g.execute(&ExecPlan::batch()).map_err(|e| e.to_string())?;
     let out = g.output(tail).ok_or("impairment never ran")?;
     Ok(vec![Metric::new(
         "evm_db",
@@ -408,7 +408,7 @@ fn coded_ber(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
     let src = g.add(SamplePlayback::new(frame.signal().clone()));
     let ch = g.add(AwgnChannel::from_snr_db(snr_db, noise_seed));
     g.chain(&[src, ch]).map_err(|e| e.to_string())?;
-    g.run().map_err(|e| e.to_string())?;
+    g.execute(&ExecPlan::batch()).map_err(|e| e.to_string())?;
     let received = g.output(ch).ok_or("channel never ran")?.clone();
     let mut rx = ReferenceReceiver::new(params).map_err(|e| e.to_string())?;
     let got = rx
@@ -451,7 +451,7 @@ fn doppler_ber(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
         cfg.u64_or("noise_seed", 9)?,
     ));
     g.chain(&[src, fading, noise]).map_err(|e| e.to_string())?;
-    g.run().map_err(|e| e.to_string())?;
+    g.execute(&ExecPlan::batch()).map_err(|e| e.to_string())?;
     let received = g.output(noise).ok_or("channel never ran")?;
     let mut rx = ReferenceReceiver::new(params).map_err(|e| e.to_string())?;
     let got = rx
@@ -469,7 +469,7 @@ fn doppler_ber(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
 // E9(a) — the 64-scenario fault-injection sweep.
 // ---------------------------------------------------------------------
 
-/// The 64-scenario fault-injection sweep behind E9 and the bench JSON: a
+/// The 64-scenario fault-injection sweep behind E9: a
 /// deterministic mix of clean, panicking, NaN-emitting and
 /// sample-dropping scenarios, with the [`FaultPlan`] rotating over three
 /// wrapped block types (soft-clip PA, Rapp PA, AWGN channel). Panicking
@@ -492,7 +492,6 @@ pub fn run_fault_sweep() -> (Vec<ScenarioOutcome<f64>>, SweepReport) {
                 _ => FaultPlan::new().with_drop_rate(0.25),
             };
             let mut g = Graph::new();
-            g.guard_non_finite(true);
             let src = g.add(ToneSource::new(1.0e6, 20.0e6, 2048));
             let impaired = match (i / 4) % 3 {
                 0 => g.add(plan.wrap(seed, SoftClipPa::new(1.0))),
@@ -501,7 +500,7 @@ pub fn run_fault_sweep() -> (Vec<ScenarioOutcome<f64>>, SweepReport) {
             };
             let meter = g.add(PowerMeter::new());
             g.chain(&[src, impaired, meter])?;
-            g.run()?;
+            g.execute(&ExecPlan::batch().guard_non_finite(true))?;
             Ok(g.block::<PowerMeter>(meter)
                 .expect("present")
                 .power()
@@ -532,13 +531,8 @@ fn fault_sweep_metrics() -> Result<Vec<Metric>, String> {
 
 /// Mean tone power through an AWGN channel and a soft limiter — the
 /// deterministic per-`(seed, index)` scenario the supervision kernels
-/// and the bench snapshot share.
-///
-/// # Errors
-///
-/// Graph wiring or execution failures (none in practice — the chain is
-/// clean).
-pub fn e10_scenario_power(seed: u64, i: usize) -> Result<f64, SimError> {
+/// share.
+fn e10_scenario_power(seed: u64, i: usize) -> Result<f64, SimError> {
     let mut g = Graph::new();
     let src = g.add(ToneSource::new(1.0e6, 20.0e6, 1024));
     let ch = g.add(AwgnChannel::from_snr_db(
@@ -548,7 +542,7 @@ pub fn e10_scenario_power(seed: u64, i: usize) -> Result<f64, SimError> {
     let pa = g.add(SoftClipPa::new(1.0));
     let meter = g.add(PowerMeter::new());
     g.chain(&[src, ch, pa, meter])?;
-    g.run()?;
+    g.execute(&ExecPlan::batch())?;
     Ok(g.block::<PowerMeter>(meter)
         .expect("present")
         .power()
@@ -573,8 +567,7 @@ fn watchdog(cfg: &CellCfg) -> Result<Vec<Metric>, String> {
                 let src = g.add(StalledSource::new(20.0e6, Duration::from_millis(2)));
                 let pa = g.add(SoftClipPa::new(1.0));
                 g.chain(&[src, pa])?;
-                ctx.supervise(&mut g);
-                g.run_streaming(64)?;
+                g.execute(&ctx.supervise(ExecPlan::streaming(64)))?;
             }
             e10_scenario_power(power_seed, i)
         });
@@ -598,7 +591,9 @@ fn breaker_degraded() -> Result<Vec<Metric>, String> {
     let pa = clean.add(SoftClipPa::new(1.0));
     clean.chain(&[src, pa]).map_err(|e| e.to_string())?;
     clean.probe(pa).map_err(|e| e.to_string())?;
-    clean.run_streaming(256).map_err(|e| e.to_string())?;
+    clean
+        .execute(&ExecPlan::streaming(256))
+        .map_err(|e| e.to_string())?;
     let clean_out = clean.output(pa).ok_or("probe never ran")?.clone();
 
     let mut g = Graph::new();
@@ -611,10 +606,13 @@ fn breaker_degraded() -> Result<Vec<Metric>, String> {
     let pa = g.add(SoftClipPa::new(1.0));
     g.chain(&[src, bad, pa]).map_err(|e| e.to_string())?;
     g.probe(pa).map_err(|e| e.to_string())?;
-    g.set_breaker_policy(Some(BreakerPolicy::new().with_threshold(1)));
+    let plan = ExecPlan::streaming(256)
+        .with_telemetry(true)
+        .with_breaker_policy(Some(BreakerPolicy::new().with_threshold(1)));
     let run = g
-        .run_streaming_instrumented(256)
-        .map_err(|e| e.to_string())?;
+        .execute(&plan)
+        .map_err(|e| e.to_string())?
+        .ok_or("telemetry requested but no report")?;
     let out = g.output(pa).ok_or("probe never ran")?;
     let exact = out.samples() == clean_out.samples();
     Ok(vec![
@@ -643,13 +641,13 @@ fn breaker_fail_fast() -> Result<Vec<Metric>, String> {
     );
     let pa = g.add(SoftClipPa::new(1.0));
     g.chain(&[src, pa]).map_err(|e| e.to_string())?;
-    g.set_breaker_policy(Some(BreakerPolicy::new().with_threshold(2)));
+    let plan = ExecPlan::batch().with_breaker_policy(Some(BreakerPolicy::new().with_threshold(2)));
     for _ in 0..2 {
-        if g.run().is_ok() {
+        if g.execute(&plan).is_ok() {
             return Err("injector unexpectedly succeeded".into());
         }
     }
-    let open_fail_fast = match g.run() {
+    let open_fail_fast = match g.execute(&plan) {
         Err(SimError::BlockFault { fault, .. }) if fault.contains("circuit breaker open") => 1.0,
         _ => 0.0,
     };

@@ -3,7 +3,7 @@
 //! experiment's verdict and key metrics — bit-identical where the legacy
 //! body was deterministic.
 
-use ofdm_bench::lab::{run_spec, CellAgg, ExperimentSpec, LabOptions, LabRun};
+use ofdm_bench::lab::{report, run_spec, CellAgg, ExperimentSpec, LabOptions, LabRun};
 use ofdm_bench::waterfall::{run_waterfall, ChannelProfile, WaterfallSpec};
 use ofdm_bench::{evm_after_gain_correction, loopback_errors, transmit_frame};
 use ofdm_standards::{default_params, StandardId};
@@ -91,7 +91,7 @@ fn e6_pa_matches_legacy_evm_exactly() {
         let src = g.add(SamplePlayback::new(frame.signal().clone()));
         let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(ibo));
         g.chain(&[src, pa]).expect("wires");
-        g.run().expect("runs");
+        g.execute(&ExecPlan::batch()).expect("runs");
         let out = g.output(pa).expect("ran");
         let legacy = evm_after_gain_correction(&p, &frame, out, 6);
         assert_eq!(value(&run, label, "base", "evm_db"), legacy, "{label}");
@@ -196,6 +196,23 @@ fn e11_specs_reproduce_legacy_verdicts() {
     let rayleigh = ExperimentSpec::load(&lab_dir().join("e11_rayleigh.json")).expect("loads");
     assert_eq!(rayleigh.base_seed, 0xFAD);
     assert_eq!(rayleigh.scenarios.len(), 3);
+}
+
+#[test]
+fn supervision_and_waterfall_specs_pass_their_assertions() {
+    // The watchdog, breaker and resume guarantees (exact kill, trip,
+    // bypass and resume counts) and the waterfall smoke (BER in [0, 1],
+    // monotone descent, last SNR below first) run under `cargo test`, not
+    // only in the experiment suite.
+    for file in [
+        "e10_watchdog.json",
+        "e10_breaker.json",
+        "e10_checkpoint.json",
+        "waterfall_smoke.json",
+    ] {
+        let run = run_lab(file);
+        assert!(run.verdict, "{file}:\n{}", report::render(&run));
+    }
 }
 
 #[test]

@@ -61,7 +61,7 @@ pub enum SimError {
     /// A streaming pass was requested with a zero chunk length.
     InvalidChunkLen,
     /// A block emitted a non-finite (NaN or infinite) sample. Raised by
-    /// the schedulers when [`crate::Graph::guard_non_finite`] is enabled,
+    /// the schedulers when [`crate::ExecPlan::guard_non_finite`] is enabled,
     /// or by blocks that validate their own output.
     NonFiniteSample {
         /// Name of the block whose output contained the sample.
@@ -78,7 +78,7 @@ pub enum SimError {
         fault: String,
     },
     /// The run exceeded its wall-clock budget
-    /// ([`crate::Graph::set_budget`]). Raised at the first block boundary
+    /// ([`crate::ExecPlan::with_budget`]). Raised at the first block boundary
     /// past the deadline.
     DeadlineExceeded {
         /// Name of the block about to run when the overrun was detected.
@@ -191,7 +191,7 @@ pub trait Block: Send + std::any::Any {
     }
 
     /// The block's supervision role, consulted by the circuit-breaker
-    /// layer ([`crate::Graph::set_breaker_policy`]) to decide between
+    /// layer ([`crate::ExecPlan::with_breaker_policy`]) to decide between
     /// pass-through bypass and fail-fast when the block fails repeatedly.
     ///
     /// Defaults to [`BlockRole::Source`] for input-less blocks and
@@ -220,7 +220,7 @@ pub trait Block: Send + std::any::Any {
     fn reset(&mut self) {}
 
     /// Hook called once before the first chunk of a streaming pass
-    /// ([`crate::Graph::run_streaming`]). Instruments arm their
+    /// ([`crate::ExecMode::Streaming`]). Instruments arm their
     /// accumulators here.
     fn begin_stream(&mut self) {}
 

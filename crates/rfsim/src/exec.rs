@@ -1,17 +1,11 @@
-//! The unified execution engine: one plan, one executor, one scheduler.
+//! The unified execution engine: one plan, one scheduler.
 //!
-//! PRs 1–4 each bolted a capability onto the scheduler — streaming,
-//! telemetry, fault guards, supervision — and every capability arrived as
-//! another `run*` entrypoint with its own feature wiring. This module is
-//! the consolidation: an [`ExecPlan`] describes *one* graph pass (mode plus
-//! feature toggles), [`Graph::execute`](crate::Graph::execute) owns the one
-//! true scheduler loop that interprets it, and [`Executor`] is a reusable
-//! handle that applies the same plan to many graphs. The legacy entrypoints
-//! ([`Graph::run`](crate::Graph::run),
-//! [`Graph::run_instrumented`](crate::Graph::run_instrumented),
-//! [`Graph::run_streaming`](crate::Graph::run_streaming),
-//! [`Graph::run_streaming_instrumented`](crate::Graph::run_streaming_instrumented))
-//! survive as thin shims that build the equivalent plan.
+//! Streaming, telemetry, fault guards and supervision are all toggles of
+//! one [`ExecPlan`], which describes *one* graph pass (mode plus feature
+//! toggles); [`Graph::execute`](crate::Graph::execute) owns the one
+//! scheduler loop that interprets it. A plan is a plain value, so running
+//! the same configuration over many graphs is a loop over `execute` with
+//! one plan.
 //!
 //! The same move the paper makes at the model level — one Mother Model,
 //! N parameterizations — applied to execution: one engine, N plans.
@@ -43,7 +37,6 @@
 
 use crate::supervise::{BreakerPolicy, BreakerState, CancelToken, Health};
 use crate::telemetry::{RunMode, RunReport};
-use crate::{Graph, SimError};
 use std::time::Duration;
 
 /// How one execution moves samples through the graph.
@@ -59,7 +52,7 @@ pub enum ExecMode {
     /// O(chunk length × nodes).
     Streaming {
         /// Maximum samples per chunk; zero is rejected with
-        /// [`SimError::InvalidChunkLen`].
+        /// [`SimError::InvalidChunkLen`](crate::SimError::InvalidChunkLen).
         chunk_len: usize,
     },
 }
@@ -77,16 +70,9 @@ impl From<ExecMode> for RunMode {
 /// feature toggle the engine understands.
 ///
 /// Built with the builder methods and handed to
-/// [`Graph::execute`](crate::Graph::execute) (or an [`Executor`]). The
-/// plan is the *whole* truth for a pass — the engine reads its toggles,
-/// not the graph's configured defaults, so two executions with the same
-/// plan are wired identically regardless of graph-level setters. Use
-/// [`Graph::plan`](crate::Graph::plan) to lift the graph's configuration
-/// ([`Graph::guard_non_finite`](crate::Graph::guard_non_finite),
-/// [`Graph::set_budget`](crate::Graph::set_budget),
-/// [`Graph::set_cancel_token`](crate::Graph::set_cancel_token),
-/// [`Graph::set_breaker_policy`](crate::Graph::set_breaker_policy)) into a
-/// plan — that is exactly what the legacy `run*` shims do.
+/// [`Graph::execute`](crate::Graph::execute). The plan is the *whole*
+/// truth for a pass: the graph stores no execution toggle, so two
+/// executions with the same plan are wired identically.
 #[derive(Debug, Clone, Default)]
 pub struct ExecPlan {
     mode: ExecMode,
@@ -131,28 +117,57 @@ impl ExecPlan {
     }
 
     /// Builder: scan every block output for NaN/inf samples and fail the
-    /// pass with [`SimError::NonFiniteSample`] at the first hit.
+    /// pass with
+    /// [`SimError::NonFiniteSample`](crate::SimError::NonFiniteSample) at
+    /// the first hit, instead of letting NaN/inf propagate silently into
+    /// downstream measurements.
+    ///
+    /// Off by default — the scan is O(samples) per block and honest
+    /// signals never need it; fault-injection sweeps ([`crate::fault`])
+    /// turn it on to convert corruption into typed errors.
     pub fn guard_non_finite(mut self, enabled: bool) -> Self {
         self.guard_non_finite = enabled;
         self
     }
 
     /// Builder: arm a wall-clock [`Deadline`](crate::supervise::Deadline)
-    /// at execution start, checked at every block boundary.
+    /// at execution start, checked before every block invocation (per
+    /// chunk in streaming passes); an overrun fails the pass with
+    /// [`SimError::DeadlineExceeded`](crate::SimError::DeadlineExceeded).
     pub fn with_budget(mut self, budget: Option<Duration>) -> Self {
         self.budget = budget;
         self
     }
 
-    /// Builder: poll a cooperative [`CancelToken`] at block boundaries.
+    /// Builder: poll a cooperative [`CancelToken`] at the same block
+    /// boundaries as the deadline. Cancelling the token (from any thread)
+    /// fails the pass with [`SimError::Cancelled`](crate::SimError::Cancelled)
+    /// within one block invocation — the mechanism the sweep watchdog
+    /// ([`SweepPlan::run`](crate::scenario::SweepPlan::run)) uses to kill
+    /// hung scenarios.
     pub fn with_cancel_token(mut self, token: Option<CancelToken>) -> Self {
         self.cancel = token;
         self
     }
 
-    /// Builder: enable per-block circuit breakers under `policy` (see
-    /// [`Graph::set_breaker_policy`](crate::Graph::set_breaker_policy) for
-    /// the bypass/fail-fast semantics).
+    /// Builder: enable (`Some`) or disable (`None`) per-block circuit
+    /// breakers under `policy`.
+    ///
+    /// With a policy enabled, every typed block failure — including
+    /// finite-guard hits when [`ExecPlan::guard_non_finite`] is on — feeds
+    /// the block's [`BreakerState`]. Failures of a *bypassable* block
+    /// ([`crate::supervise::BlockRole::bypassable`], single input) are
+    /// absorbed: the failing invocation is replaced by a pass-through of
+    /// its input, the run continues and finishes with
+    /// [`Health::Degraded`]. Once such a breaker opens, the block is
+    /// skipped outright until its probation expires and a half-open trial
+    /// succeeds. Failures of source/essential blocks propagate as always;
+    /// once *their* breaker opens, later runs fail fast with
+    /// [`SimError::BlockFault`](crate::SimError::BlockFault) without
+    /// invoking the block.
+    ///
+    /// Breaker *state* lives on the graph and carries over from pass to
+    /// pass; [`Graph::reset`](crate::Graph::reset) clears it.
     pub fn with_breaker_policy(mut self, policy: Option<BreakerPolicy>) -> Self {
         self.breakers = policy;
         self
@@ -189,65 +204,11 @@ impl ExecPlan {
     }
 }
 
-/// A reusable engine handle: one [`ExecPlan`] applied to any number of
-/// graphs.
+/// The graph's runtime state, kept separate from its structure (nodes,
+/// wiring and probe markings).
 ///
-/// [`Graph::execute`](crate::Graph::execute) is the engine itself; an
-/// `Executor` carries the plan for callers that run the same configuration
-/// over many graphs (scenario sweeps, standard registries) — the sweep
-/// analogue is [`SweepPlan`](crate::scenario::SweepPlan).
-///
-/// # Example
-///
-/// ```
-/// use rfsim::prelude::*;
-///
-/// # fn main() -> Result<(), SimError> {
-/// let engine = Executor::new(ExecPlan::streaming(128).with_telemetry(true));
-/// for snr_db in [10.0, 20.0] {
-///     let mut g = Graph::new();
-///     let tone = g.add(ToneSource::new(0.0, 1.0e6, 512));
-///     let ch = g.add(AwgnChannel::from_snr_db(snr_db, 7).with_reference_power(1.0));
-///     let meter = g.add(PowerMeter::new());
-///     g.chain(&[tone, ch, meter])?;
-///     let report = engine.run(&mut g)?.expect("telemetry was requested");
-///     assert_eq!(report.source_samples(), 512);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Executor {
-    plan: ExecPlan,
-}
-
-impl Executor {
-    /// An executor that runs `plan`.
-    pub fn new(plan: ExecPlan) -> Self {
-        Executor { plan }
-    }
-
-    /// The plan this executor applies.
-    pub fn plan(&self) -> &ExecPlan {
-        &self.plan
-    }
-
-    /// Executes the plan on `graph`; returns the [`RunReport`] when the
-    /// plan enables telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::execute`](crate::Graph::execute).
-    pub fn run(&self, graph: &mut Graph) -> Result<Option<RunReport>, SimError> {
-        graph.execute(&self.plan)
-    }
-}
-
-/// The graph's runtime state, kept separate from its structure (nodes and
-/// wiring) and its configuration (the setter-backed plan defaults).
-///
-/// One `ExecState` lives on each [`Graph`]; every execution begins by
-/// resetting the per-run portion ([`ExecState::begin_run`]) and
+/// One `ExecState` lives on each [`Graph`](crate::Graph); every execution
+/// begins by resetting the per-run portion ([`ExecState::begin_run`]) and
 /// [`Graph::reset`](crate::Graph::reset) replaces the whole value — reset
 /// semantics are structural, not a convention of clearing individual
 /// fields. Circuit-breaker states deliberately survive from run to run

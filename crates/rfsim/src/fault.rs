@@ -7,7 +7,7 @@
 //!
 //! * standalone impairment blocks ([`SampleDropper`], [`NanInjector`],
 //!   [`ClockDriftJitter`]) that model degraded sample transport, usable in
-//!   any graph and chunk-exact under [`crate::Graph::run_streaming`];
+//!   any graph and chunk-exact in streaming passes ([`crate::ExecMode::Streaming`]);
 //! * a seeded, deterministic [`FaultPlan`] whose [`FaultPlan::wrap`] turns
 //!   *any* existing block into a [`FaultInjector`] that drops samples,
 //!   injects NaNs, returns typed [`SimError::BlockFault`] errors or panics
@@ -31,7 +31,7 @@
 //! // A PA that refuses to work 100% of the time.
 //! let pa = g.add(FaultPlan::new().with_error_rate(1.0).wrap(7, SoftClipPa::new(1.0)));
 //! g.connect(src, pa, 0)?;
-//! assert!(matches!(g.run(), Err(SimError::BlockFault { .. })));
+//! assert!(matches!(g.execute(&ExecPlan::batch()), Err(SimError::BlockFault { .. })));
 //! # Ok(())
 //! # }
 //! ```
@@ -144,7 +144,7 @@ impl Block for SampleDropper {
 
 /// Replaces samples with NaN at a configured per-sample rate — the
 /// impairment that exercises the scheduler's non-finite guard
-/// ([`crate::Graph::guard_non_finite`]) and any downstream numerical
+/// ([`crate::ExecPlan::guard_non_finite`]) and any downstream numerical
 /// robustness.
 #[derive(Debug, Clone)]
 pub struct NanInjector {
@@ -562,7 +562,7 @@ impl std::fmt::Debug for FaultInjector {
 /// streaming pass over it runs forever.
 ///
 /// This is the adversarial workload for the supervision layer
-/// ([`crate::Graph::set_budget`], [`crate::supervise::CancelToken`], the
+/// ([`crate::ExecPlan::with_budget`], [`crate::supervise::CancelToken`], the
 /// sweep watchdog): the stall sits *between* chunks, so every chunk
 /// boundary is a cooperative cancellation point and a supervised graph
 /// kills the pass promptly. A batch pass has no such boundary and is
@@ -627,6 +627,7 @@ impl Block for StalledSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecPlan;
     use crate::graph::Graph;
     use crate::pa::SoftClipPa;
     use crate::source::ToneSource;
@@ -741,14 +742,14 @@ mod tests {
         let src = g.add(ToneSource::new(1.0e3, 1.0e6, 256));
         let pa = g.add(FaultPlan::new().wrap(1, SoftClipPa::new(1.0)));
         g.chain(&[src, pa]).unwrap();
-        g.run().unwrap();
+        g.execute(&ExecPlan::batch()).unwrap();
         let wrapped = g.output(pa).unwrap().clone();
         assert_eq!(g.block::<FaultInjector>(pa).unwrap().stats().total(), 0);
         let mut plain = Graph::new();
         let src2 = plain.add(ToneSource::new(1.0e3, 1.0e6, 256));
         let pa2 = plain.add(SoftClipPa::new(1.0));
         plain.chain(&[src2, pa2]).unwrap();
-        plain.run().unwrap();
+        plain.execute(&ExecPlan::batch()).unwrap();
         assert_eq!(&wrapped, plain.output(pa2).unwrap());
         let inj = g.block::<FaultInjector>(pa).unwrap();
         assert_eq!(inj.name(), "fault(softclip-pa)");
@@ -765,7 +766,7 @@ mod tests {
                 .wrap(5, SoftClipPa::new(1.0)),
         );
         g.chain(&[src, pa]).unwrap();
-        let err = g.run().unwrap_err();
+        let err = g.execute(&ExecPlan::batch()).unwrap_err();
         assert!(
             matches!(err, SimError::BlockFault { ref block, .. } if block == "fault(softclip-pa)"),
             "{err}"
@@ -808,9 +809,11 @@ mod tests {
             match chunk {
                 Some(c) => {
                     g.probe(pa).unwrap();
-                    g.run_streaming(c).unwrap();
+                    g.execute(&ExecPlan::streaming(c)).unwrap();
                 }
-                None => g.run().unwrap(),
+                None => {
+                    g.execute(&ExecPlan::batch()).unwrap();
+                }
             }
             (
                 g.output(pa).unwrap().clone(),

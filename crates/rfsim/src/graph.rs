@@ -15,17 +15,15 @@
 //!   only for nodes opted in via [`Graph::probe`]; instruments accumulate
 //!   across chunks and finalize in [`Block::end_stream`].
 //!
-//! The historical entrypoints [`Graph::run`], [`Graph::run_instrumented`],
-//! [`Graph::run_streaming`] and [`Graph::run_streaming_instrumented`] are
-//! thin shims: each lifts the graph's configured defaults into a plan via
-//! [`Graph::plan`] and calls [`Graph::execute`].
+//! The graph stores structure (blocks, wiring, probe markings) and the
+//! runtime state of its most recent pass (health, circuit-breaker states);
+//! every execution toggle lives on the plan.
 
 use crate::block::{Block, SimError};
 use crate::exec::{ExecMode, ExecPlan, ExecState};
 use crate::signal::Signal;
-use crate::supervise::{BreakerPolicy, BreakerState, CancelToken, Deadline, Health};
+use crate::supervise::{BreakerPolicy, BreakerState, Deadline, Health};
 use crate::telemetry::{Recorder, RunReport};
-use std::time::Duration;
 
 /// Opaque handle to a block inside a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,7 +62,7 @@ enum Feed {
 /// let tone = g.add(ToneSource::new(0.0, 1.0e6, 256));
 /// let meter = g.add(PowerMeter::new());
 /// g.connect(tone, meter, 0)?;
-/// g.run()?;
+/// g.execute(&ExecPlan::batch())?;
 /// let measured = g.output(meter).expect("ran");
 /// assert!((measured.power() - 1.0).abs() < 1e-9);
 /// # Ok(())
@@ -73,24 +71,9 @@ enum Feed {
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    /// When set, every block output is scanned for NaN/inf samples and the
-    /// pass fails with [`SimError::NonFiniteSample`] at the first hit.
-    /// Lifted into plans by [`Graph::plan`].
-    guard_non_finite: bool,
-    /// Wall-clock budget armed as a [`Deadline`] at the start of every run.
-    /// Lifted into plans by [`Graph::plan`].
-    budget: Option<Duration>,
-    /// Cooperative cancellation token polled at block boundaries.
-    /// Lifted into plans by [`Graph::plan`].
-    cancel: Option<CancelToken>,
-    /// When set, per-block circuit breakers are live (see
-    /// [`Graph::set_breaker_policy`]). Lifted into plans by
-    /// [`Graph::plan`].
-    breaker_policy: Option<BreakerPolicy>,
     /// Runtime state of the most recent execution (health, breaker states,
-    /// bypass counters, retained report), kept apart from the structural
-    /// and configuration fields above so [`Graph::reset`] can replace it
-    /// wholesale.
+    /// bypass counters, retained report), kept apart from the structure
+    /// above so [`Graph::reset`] can replace it wholesale.
     state: ExecState,
 }
 
@@ -165,64 +148,35 @@ impl Graph {
         Ok(())
     }
 
-    /// Executes one whole-pass batch simulation over all blocks in
-    /// dependency order — a shim for [`Graph::execute`] with the
-    /// [`Graph::plan`] for [`ExecMode::Batch`].
+    /// Executes one simulation pass as described by `plan` — the one
+    /// scheduler. Returns the pass's [`RunReport`] when the plan enables
+    /// telemetry, `None` otherwise; the report is also retained for
+    /// [`Graph::last_report`]. Every instrumented pass starts from a
+    /// fresh recorder, so consecutive passes never accumulate into each
+    /// other.
     ///
-    /// # Errors
+    /// In a streaming pass ([`ExecMode::Streaming`]), streaming-capable
+    /// sources ([`Block::supports_streaming`]) emit one chunk per round;
+    /// batch-only sources are evaluated once up front and sliced. Each
+    /// round pushes the chunks through the graph in dependency order via
+    /// [`Block::process_chunk`] into per-edge buffers that are reused
+    /// between chunks, and the pass ends when every source is exhausted.
+    /// [`Block::begin_stream`]/[`Block::end_stream`] bracket the pass so
+    /// instruments can accumulate whole-pass measurements.
     ///
-    /// * [`SimError::MissingInput`] if a connected block has an undriven port.
-    /// * [`SimError::GraphCycle`] if connections form a loop.
-    /// * [`SimError::DeadlineExceeded`] / [`SimError::Cancelled`] when a
-    ///   budget ([`Graph::set_budget`]) or cancellation token
-    ///   ([`Graph::set_cancel_token`]) fires at a block boundary.
-    /// * Any error returned by a block's `process`.
-    pub fn run(&mut self) -> Result<(), SimError> {
-        let plan = self.plan(ExecMode::Batch);
-        self.execute(&plan).map(|_| ())
-    }
-
-    /// Executes one batch pass like [`Graph::run`], recording per-block
-    /// wall time, invocation counts and sample flow into a [`RunReport`]
-    /// — a shim for [`Graph::execute`] with telemetry enabled on the
-    /// batch plan.
+    /// For chunk-sequential blocks (every block shipped with this crate),
+    /// the concatenated chunk stream at a node equals the batch output
+    /// sample for sample. Blocks that measure whole-pass statistics inside
+    /// `process` (e.g. a noise channel deriving σ from measured input
+    /// power) only match batch output if configured with a fixed
+    /// reference instead (see `AwgnChannel::with_reference_power`). With
+    /// multiple sources of unequal pass lengths, exhausted sources
+    /// contribute empty chunks while the rest finish; blocks must tolerate
+    /// shorter/empty inputs in that case.
     ///
-    /// The report is also retained for [`Graph::last_report`]. Every
-    /// instrumented pass starts from a fresh recorder, so consecutive
-    /// calls never accumulate into each other.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::run`].
-    pub fn run_instrumented(&mut self) -> Result<RunReport, SimError> {
-        let plan = self.plan(ExecMode::Batch).with_telemetry(true);
-        Ok(self
-            .execute(&plan)?
-            .expect("plan requested telemetry, so a report is produced"))
-    }
-
-    /// Lifts the graph's configured execution defaults
-    /// ([`Graph::guard_non_finite`], [`Graph::set_budget`],
-    /// [`Graph::set_cancel_token`], [`Graph::set_breaker_policy`]) into an
-    /// [`ExecPlan`] for `mode`, with telemetry off. This is exactly the
-    /// plan the `run*` shims pass to [`Graph::execute`].
-    pub fn plan(&self, mode: ExecMode) -> ExecPlan {
-        ExecPlan::new(mode)
-            .guard_non_finite(self.guard_non_finite)
-            .with_budget(self.budget)
-            .with_cancel_token(self.cancel.clone())
-            .with_breaker_policy(self.breaker_policy)
-    }
-
-    /// Executes one simulation pass as described by `plan` — the one true
-    /// scheduler behind every `run*` entrypoint. Returns the pass's
-    /// [`RunReport`] when the plan enables telemetry, `None` otherwise.
-    ///
-    /// The engine reads every feature toggle from the plan, not from the
-    /// graph's configured defaults — use [`Graph::plan`] to lift those
-    /// into a plan first. Any previously retained report is dropped at
-    /// execution start, so [`Graph::last_report`] never exposes a stale
-    /// success report after a failed pass.
+    /// Any previously retained report is dropped at execution start, so
+    /// [`Graph::last_report`] never exposes a stale success report after a
+    /// failed pass.
     ///
     /// # Errors
     ///
@@ -574,61 +528,6 @@ impl Graph {
         }
     }
 
-    /// Enables (or disables) the non-finite sample guard: with the guard
-    /// on, both schedulers scan every block output and fail the pass with
-    /// [`SimError::NonFiniteSample`] instead of letting NaN/inf propagate
-    /// silently into downstream measurements.
-    ///
-    /// Off by default — the scan is O(samples) per block and honest
-    /// signals never need it; fault-injection sweeps
-    /// ([`crate::fault`]) turn it on to convert corruption into typed
-    /// errors. The setting is configuration and survives [`Graph::reset`].
-    pub fn guard_non_finite(&mut self, enabled: bool) {
-        self.guard_non_finite = enabled;
-    }
-
-    /// Sets (or clears) a wall-clock budget for subsequent runs: both
-    /// schedulers arm a [`Deadline`] at run start and check it before
-    /// every block invocation (per chunk in streaming passes), failing
-    /// with [`SimError::DeadlineExceeded`] on overrun.
-    ///
-    /// The budget is configuration and survives [`Graph::reset`].
-    pub fn set_budget(&mut self, budget: Option<Duration>) {
-        self.budget = budget;
-    }
-
-    /// Installs (or removes) a cooperative cancellation token polled at
-    /// the same block boundaries as the deadline. Cancelling the token
-    /// (from any thread) fails the pass with [`SimError::Cancelled`]
-    /// within one block invocation — the mechanism the sweep watchdog
-    /// ([`crate::scenario::SweepPlan::run`]) uses to kill hung
-    /// scenarios.
-    ///
-    /// The token is configuration and survives [`Graph::reset`].
-    pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
-    }
-
-    /// Enables (`Some`) or disables (`None`) per-block circuit breakers.
-    ///
-    /// With a policy enabled, every typed block failure — including
-    /// finite-guard hits when [`Graph::guard_non_finite`] is on — feeds
-    /// the block's [`BreakerState`]. Failures of a *bypassable* block
-    /// ([`crate::supervise::BlockRole::bypassable`], single input) are
-    /// absorbed: the failing invocation is replaced by a pass-through of
-    /// its input, the run continues and finishes with
-    /// [`Health::Degraded`]. Once such a breaker opens, the block is
-    /// skipped outright until its probation expires and a half-open trial
-    /// succeeds. Failures of source/essential blocks propagate as always;
-    /// once *their* breaker opens, later runs fail fast with
-    /// [`SimError::BlockFault`] without invoking the block.
-    ///
-    /// The policy is configuration and survives [`Graph::reset`]; breaker
-    /// *state* is runtime state and is cleared by it.
-    pub fn set_breaker_policy(&mut self, policy: Option<BreakerPolicy>) {
-        self.breaker_policy = policy;
-    }
-
     /// Condition of the most recent run: `Healthy`, `Degraded` (at least
     /// one breaker bypass) or `Failed` (the run returned an error).
     pub fn health(&self) -> Health {
@@ -670,10 +569,10 @@ impl Graph {
         Ok(())
     }
 
-    /// Marks `id` for output retention during [`Graph::run_streaming`].
+    /// Marks `id` for output retention during streaming passes.
     ///
-    /// Batch [`Graph::run`] retains every node's output regardless; in
-    /// streaming runs retention is opt-in, since accumulating a node's
+    /// Batch passes retain every node's output regardless; in
+    /// streaming passes retention is opt-in, since accumulating a node's
     /// chunks reintroduces the O(pass) memory streaming exists to avoid.
     ///
     /// # Errors
@@ -687,61 +586,6 @@ impl Graph {
             }
             None => Err(SimError::UnknownBlock),
         }
-    }
-
-    /// Executes one simulation pass in chunks of at most `chunk_len`
-    /// samples — a shim for [`Graph::execute`] with the [`Graph::plan`]
-    /// for [`ExecMode::Streaming`].
-    ///
-    /// Streaming-capable sources ([`Block::supports_streaming`]) emit one
-    /// chunk per round; batch-only sources are evaluated once up front and
-    /// sliced. Each round pushes the chunks through the graph in dependency
-    /// order via [`Block::process_chunk`] into per-edge buffers that are
-    /// reused between chunks, and the pass ends when every source is
-    /// exhausted. [`Block::begin_stream`]/[`Block::end_stream`] bracket the
-    /// pass so instruments can accumulate whole-pass measurements.
-    ///
-    /// For chunk-sequential blocks (every block shipped with this crate),
-    /// the concatenated chunk stream at a node equals the batch
-    /// [`Graph::run`] output sample for sample. Blocks that measure
-    /// whole-pass statistics inside `process` (e.g. a noise channel
-    /// deriving σ from measured input power) only match batch output if
-    /// configured with a fixed reference instead (see
-    /// `AwgnChannel::with_reference_power`).
-    ///
-    /// With multiple sources of unequal pass lengths, exhausted sources
-    /// contribute empty chunks while the rest finish; blocks must tolerate
-    /// shorter/empty inputs in that case.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::InvalidChunkLen`] if `chunk_len` is zero.
-    /// * Same conditions as [`Graph::run`], plus any
-    ///   [`Block::stream_chunk`] or [`Block::end_stream`] failure.
-    pub fn run_streaming(&mut self, chunk_len: usize) -> Result<(), SimError> {
-        let plan = self.plan(ExecMode::Streaming { chunk_len });
-        self.execute(&plan).map(|_| ())
-    }
-
-    /// Executes one chunked pass like [`Graph::run_streaming`], recording
-    /// per-block wall time, invocation counts, sample flow and per-edge
-    /// buffer high-water marks into a [`RunReport`] — a shim for
-    /// [`Graph::execute`] with telemetry enabled on the streaming plan.
-    ///
-    /// The report is also retained for [`Graph::last_report`]. Every
-    /// instrumented pass starts from a fresh recorder, so consecutive
-    /// calls never accumulate into each other.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::run_streaming`].
-    pub fn run_streaming_instrumented(&mut self, chunk_len: usize) -> Result<RunReport, SimError> {
-        let plan = self
-            .plan(ExecMode::Streaming { chunk_len })
-            .with_telemetry(true);
-        Ok(self
-            .execute(&plan)?
-            .expect("plan requested telemetry, so a report is produced"))
     }
 
     /// The report of the most recent instrumented pass, if one ran since
@@ -917,10 +761,7 @@ impl Graph {
     /// and all supervision state (circuit-breaker states, health, trip
     /// and bypass counters) — after a reset the graph holds no
     /// measurement state from previous passes. Probe *markings*
-    /// ([`Graph::probe`]) and supervision *configuration*
-    /// ([`Graph::set_budget`], [`Graph::set_cancel_token`],
-    /// [`Graph::set_breaker_policy`]) survive, since they are
-    /// configuration, not state.
+    /// ([`Graph::probe`]) survive, since they are structure, not state.
     pub fn reset(&mut self) {
         for node in &mut self.nodes {
             node.block.reset();
@@ -1008,7 +849,7 @@ mod tests {
         let g1 = g.add(Gain(3.0));
         let g2 = g.add(Gain(0.5));
         g.chain(&[c, g1, g2]).unwrap();
-        g.run().unwrap();
+        g.execute(&ExecPlan::batch()).unwrap();
         assert!((g.output(g2).unwrap().samples()[0].re - 3.0).abs() < 1e-12);
         // Intermediate node observable too.
         assert!((g.output(g1).unwrap().samples()[0].re - 6.0).abs() < 1e-12);
@@ -1025,7 +866,7 @@ mod tests {
         g.connect(c, b, 0).unwrap();
         g.connect(a, sum, 0).unwrap();
         g.connect(b, sum, 1).unwrap();
-        g.run().unwrap();
+        g.execute(&ExecPlan::batch()).unwrap();
         assert!((g.output(sum).unwrap().samples()[0].re - 7.0).abs() < 1e-12);
     }
 
@@ -1034,7 +875,7 @@ mod tests {
         let mut g = Graph::new();
         let _c = g.add(Const(1.0));
         let _gain = g.add(Gain(1.0)); // never connected
-        let err = g.run().unwrap_err();
+        let err = g.execute(&ExecPlan::batch()).unwrap_err();
         assert!(matches!(err, SimError::MissingInput { port: 0, .. }));
     }
 
@@ -1045,7 +886,10 @@ mod tests {
         let b = g.add(Gain(1.0));
         g.connect(a, b, 0).unwrap();
         g.connect(b, a, 0).unwrap();
-        assert_eq!(g.run().unwrap_err(), SimError::GraphCycle);
+        assert_eq!(
+            g.execute(&ExecPlan::batch()).unwrap_err(),
+            SimError::GraphCycle
+        );
     }
 
     #[test]
@@ -1095,7 +939,7 @@ mod tests {
     fn reset_clears_outputs() {
         let mut g = Graph::new();
         let c = g.add(Const(1.0));
-        g.run().unwrap();
+        g.execute(&ExecPlan::batch()).unwrap();
         assert!(g.output(c).is_some());
         g.reset();
         assert!(g.output(c).is_none());
@@ -1165,13 +1009,13 @@ mod tests {
         };
         for streaming_source in [false, true] {
             let (mut batch, sum_b) = build(streaming_source);
-            batch.run().unwrap();
+            batch.execute(&ExecPlan::batch()).unwrap();
             let reference = batch.output(sum_b).unwrap().clone();
             // Divisor and non-divisor chunk sizes.
             for chunk in [1usize, 7, 100, 1000] {
                 let (mut g, sum) = build(streaming_source);
                 g.probe(sum).unwrap();
-                g.run_streaming(chunk).unwrap();
+                g.execute(&ExecPlan::streaming(chunk)).unwrap();
                 assert_eq!(
                     g.output(sum).unwrap(),
                     &reference,
@@ -1188,7 +1032,7 @@ mod tests {
         let gain = g.add(Gain(2.0));
         g.chain(&[src, gain]).unwrap();
         g.probe(gain).unwrap();
-        g.run_streaming(8).unwrap();
+        g.execute(&ExecPlan::streaming(8)).unwrap();
         assert!(g.output(src).is_none());
         assert_eq!(g.output(gain).unwrap().len(), 32);
         // Probing a foreign id fails.
@@ -1206,7 +1050,7 @@ mod tests {
         let _ = g.add(Const(1.0));
         let _unconnected = g.add(Gain(1.0));
         assert!(matches!(
-            g.run_streaming(4).unwrap_err(),
+            g.execute(&ExecPlan::streaming(4)).unwrap_err(),
             SimError::MissingInput { .. }
         ));
         let mut cyc = Graph::new();
@@ -1214,7 +1058,10 @@ mod tests {
         let b = cyc.add(Gain(1.0));
         cyc.connect(a, b, 0).unwrap();
         cyc.connect(b, a, 0).unwrap();
-        assert_eq!(cyc.run_streaming(4).unwrap_err(), SimError::GraphCycle);
+        assert_eq!(
+            cyc.execute(&ExecPlan::streaming(4)).unwrap_err(),
+            SimError::GraphCycle
+        );
     }
 
     #[test]
@@ -1223,13 +1070,17 @@ mod tests {
         // the scheduler and aborted whole scenario sweeps.
         let mut g = Graph::new();
         let _ = g.add(Const(1.0));
-        assert_eq!(g.run_streaming(0).unwrap_err(), SimError::InvalidChunkLen);
         assert_eq!(
-            g.run_streaming_instrumented(0).unwrap_err(),
+            g.execute(&ExecPlan::streaming(0)).unwrap_err(),
+            SimError::InvalidChunkLen
+        );
+        assert_eq!(
+            g.execute(&ExecPlan::streaming(0).with_telemetry(true))
+                .unwrap_err(),
             SimError::InvalidChunkLen
         );
         // The graph is still usable afterwards.
-        g.run_streaming(4).unwrap();
+        g.execute(&ExecPlan::streaming(4)).unwrap();
     }
 
     /// A block that corrupts one sample with NaN.
@@ -1258,11 +1109,11 @@ mod tests {
         };
         // Guard off: NaN propagates silently (the historical behavior).
         let mut silent = build();
-        silent.run().unwrap();
+        silent.execute(&ExecPlan::batch()).unwrap();
         // Guard on: typed error naming block and sample, on both paths.
+        let guarded = ExecPlan::batch().guard_non_finite(true);
         let mut g = build();
-        g.guard_non_finite(true);
-        let err = g.run().unwrap_err();
+        let err = g.execute(&guarded).unwrap_err();
         assert_eq!(
             err,
             SimError::NonFiniteSample {
@@ -1271,15 +1122,15 @@ mod tests {
             }
         );
         let mut s = build();
-        s.guard_non_finite(true);
         assert!(matches!(
-            s.run_streaming(4).unwrap_err(),
+            s.execute(&ExecPlan::streaming(4).guard_non_finite(true))
+                .unwrap_err(),
             SimError::NonFiniteSample { index: 3, .. }
         ));
-        // Guard survives reset (it is configuration, not state).
+        // A reset graph still fails under the guarded plan.
         s.reset();
         assert!(matches!(
-            s.run().unwrap_err(),
+            s.execute(&guarded).unwrap_err(),
             SimError::NonFiniteSample { .. }
         ));
     }
@@ -1306,9 +1157,9 @@ mod tests {
         let src = g.add(BadSource);
         let gain = g.add(Gain(1.0));
         g.chain(&[src, gain]).unwrap();
-        g.guard_non_finite(true);
         assert!(matches!(
-            g.run_streaming(8).unwrap_err(),
+            g.execute(&ExecPlan::streaming(8).guard_non_finite(true))
+                .unwrap_err(),
             SimError::NonFiniteSample { index: 0, .. }
         ));
     }
@@ -1319,7 +1170,10 @@ mod tests {
         let c = g.add(Const(2.0));
         let gain = g.add(Gain(3.0));
         g.chain(&[c, gain]).unwrap();
-        let report = g.run_instrumented().unwrap();
+        let report = g
+            .execute(&ExecPlan::batch().with_telemetry(true))
+            .unwrap()
+            .unwrap();
         assert_eq!(report.mode, crate::telemetry::RunMode::Batch);
         assert_eq!(report.rounds, 1);
         assert_eq!(report.blocks.len(), 2);
@@ -1345,7 +1199,10 @@ mod tests {
         let gain = g.add(Gain(2.0));
         g.chain(&[src, gain]).unwrap();
         g.probe(gain).unwrap();
-        let report = g.run_streaming_instrumented(16).unwrap();
+        let report = g
+            .execute(&ExecPlan::streaming(16).with_telemetry(true))
+            .unwrap()
+            .unwrap();
         assert_eq!(
             report.mode,
             crate::telemetry::RunMode::Streaming { chunk_len: 16 }
@@ -1372,7 +1229,10 @@ mod tests {
         let c = g.add(Const(1.0)); // no streaming support → cached feed
         let gain = g.add(Gain(2.0));
         g.chain(&[c, gain]).unwrap();
-        let report = g.run_streaming_instrumented(3).unwrap();
+        let report = g
+            .execute(&ExecPlan::streaming(3).with_telemetry(true))
+            .unwrap()
+            .unwrap();
         let src = report.block("const").unwrap();
         // The single up-front batch evaluation is the recorded invocation.
         assert_eq!(src.invocations, 1);
@@ -1388,8 +1248,14 @@ mod tests {
         let c = g.add(Const(1.0));
         let gain = g.add(Gain(2.0));
         g.chain(&[c, gain]).unwrap();
-        let first = g.run_instrumented().unwrap();
-        let second = g.run_instrumented().unwrap();
+        let first = g
+            .execute(&ExecPlan::batch().with_telemetry(true))
+            .unwrap()
+            .unwrap();
+        let second = g
+            .execute(&ExecPlan::batch().with_telemetry(true))
+            .unwrap()
+            .unwrap();
         // Regression: a second instrumented pass must start from zero, not
         // extend the first one's counters.
         assert_eq!(first.block("gain").unwrap().invocations, 1);
@@ -1399,8 +1265,14 @@ mod tests {
             second.block("gain").unwrap().samples_in,
         );
         // Same for the streaming scheduler.
-        let s1 = g.run_streaming_instrumented(4).unwrap();
-        let s2 = g.run_streaming_instrumented(4).unwrap();
+        let s1 = g
+            .execute(&ExecPlan::streaming(4).with_telemetry(true))
+            .unwrap()
+            .unwrap();
+        let s2 = g
+            .execute(&ExecPlan::streaming(4).with_telemetry(true))
+            .unwrap()
+            .unwrap();
         assert_eq!(s1.rounds, s2.rounds);
         assert_eq!(
             s1.block("const").unwrap().samples_out,
@@ -1415,7 +1287,9 @@ mod tests {
         let gain = g.add(Gain(2.0));
         g.chain(&[src, gain]).unwrap();
         g.probe(gain).unwrap();
-        g.run_streaming_instrumented(8).unwrap();
+        g.execute(&ExecPlan::streaming(8).with_telemetry(true))
+            .unwrap()
+            .unwrap();
         assert!(g.last_report().is_some());
         assert_eq!(g.output(gain).unwrap().len(), 32);
         g.reset();
@@ -1425,7 +1299,7 @@ mod tests {
         assert!(g.output(gain).is_none());
         // Probe marking survives as configuration; a fresh run repopulates
         // the probed output without doubling it.
-        g.run_streaming(8).unwrap();
+        g.execute(&ExecPlan::streaming(8)).unwrap();
         assert_eq!(g.output(gain).unwrap().len(), 32);
     }
 
@@ -1435,9 +1309,9 @@ mod tests {
         let c = g.add(Const(4.0));
         let gain = g.add(Gain(0.25));
         g.chain(&[c, gain]).unwrap();
-        g.run().unwrap();
+        g.execute(&ExecPlan::batch()).unwrap();
         g.reset();
-        g.run().unwrap();
+        g.execute(&ExecPlan::batch()).unwrap();
         assert!((g.output(gain).unwrap().samples()[0].re - 1.0).abs() < 1e-12);
     }
 
@@ -1504,8 +1378,7 @@ mod tests {
         let src = g.add(SlowSource(Duration::from_millis(10)));
         let gain = g.add(Gain(1.0));
         g.chain(&[src, gain]).unwrap();
-        g.set_budget(Some(Duration::from_millis(1)));
-        match g.run() {
+        match g.execute(&ExecPlan::batch().with_budget(Some(Duration::from_millis(1)))) {
             Err(SimError::DeadlineExceeded { block, elapsed }) => {
                 assert!(!block.is_empty());
                 assert!(elapsed >= Duration::from_millis(1));
@@ -1513,9 +1386,8 @@ mod tests {
             other => panic!("expected deadline overrun, got {other:?}"),
         }
         assert_eq!(g.health(), Health::Failed);
-        // The budget is configuration: clearing it restores normal runs.
-        g.set_budget(None);
-        g.run().unwrap();
+        // The budget belongs to the plan: an unbudgeted plan runs normally.
+        g.execute(&ExecPlan::batch()).unwrap();
         assert_eq!(g.health(), Health::Healthy);
     }
 
@@ -1528,11 +1400,11 @@ mod tests {
         ));
         let gain = g.add(Gain(1.0));
         g.chain(&[src, gain]).unwrap();
-        g.set_budget(Some(Duration::from_millis(20)));
+        let plan = ExecPlan::streaming(16).with_budget(Some(Duration::from_millis(20)));
         let started = std::time::Instant::now();
         // Unsupervised, this pass would never terminate: the stalled
         // source emits chunks forever.
-        match g.run_streaming(16) {
+        match g.execute(&plan) {
             Err(SimError::DeadlineExceeded { .. }) => {}
             other => panic!("expected deadline overrun, got {other:?}"),
         }
@@ -1549,17 +1421,16 @@ mod tests {
         let c = g.add(Const(1.0));
         let gain = g.add(Gain(2.0));
         g.chain(&[c, gain]).unwrap();
-        let token = CancelToken::new();
-        g.set_cancel_token(Some(token.clone()));
-        g.run().unwrap();
+        let token = crate::supervise::CancelToken::new();
+        let plan = ExecPlan::batch().with_cancel_token(Some(token.clone()));
+        g.execute(&plan).unwrap();
         assert!(token.cancel());
-        match g.run() {
+        match g.execute(&plan) {
             Err(SimError::Cancelled { block }) => assert_eq!(block, "const"),
             other => panic!("expected cancellation, got {other:?}"),
         }
         assert_eq!(g.health(), Health::Failed);
-        g.set_cancel_token(None);
-        g.run().unwrap();
+        g.execute(&ExecPlan::batch()).unwrap();
     }
 
     #[test]
@@ -1569,21 +1440,22 @@ mod tests {
         let imp = g.add(FailingImpairment { calls: 0 });
         let gain = g.add(Gain(2.0));
         g.chain(&[c, imp, gain]).unwrap();
-        g.set_breaker_policy(Some(BreakerPolicy::new().with_threshold(2)));
+        let plan =
+            ExecPlan::batch().with_breaker_policy(Some(BreakerPolicy::new().with_threshold(2)));
         // Without breakers this run would fail; with them the impairment
         // is bypassed pass-through and the signal flows on.
-        g.run().unwrap();
+        g.execute(&plan).unwrap();
         assert_eq!(g.health(), Health::Degraded);
         assert_eq!(g.bypassed(imp), Some(1));
         assert_eq!(g.bypassed_invocations(), 1);
         assert!((g.output(gain).unwrap().samples()[0].re - 6.0).abs() < 1e-12);
         // Second failure trips the breaker (threshold 2)...
-        g.run().unwrap();
+        g.execute(&plan).unwrap();
         assert_eq!(g.breaker_trips(), 1);
         assert!(g.breaker_state(imp).unwrap().is_open());
         // ...after which the block is skipped without being invoked.
         let calls_so_far = g.block::<FailingImpairment>(imp).unwrap().calls;
-        g.run().unwrap();
+        g.execute(&plan).unwrap();
         assert_eq!(
             g.block::<FailingImpairment>(imp).unwrap().calls,
             calls_so_far
@@ -1599,8 +1471,10 @@ mod tests {
         let gain = g.add(Gain(0.5));
         g.chain(&[c, imp, gain]).unwrap();
         g.probe(gain).unwrap();
-        g.set_breaker_policy(Some(BreakerPolicy::new()));
-        let report = g.run_streaming_instrumented(4).unwrap();
+        let plan = ExecPlan::streaming(4)
+            .with_telemetry(true)
+            .with_breaker_policy(Some(BreakerPolicy::new()));
+        let report = g.execute(&plan).unwrap().unwrap();
         assert_eq!(report.health, Health::Degraded);
         assert!(report.block("bad-imp").unwrap().bypassed > 0);
         let out = g.output(gain).unwrap();
@@ -1616,15 +1490,22 @@ mod tests {
         let c = g.add(Const(1.0));
         let bad = g.add(FailingStage { calls: 0 });
         g.chain(&[c, bad]).unwrap();
-        g.set_breaker_policy(Some(BreakerPolicy::new().with_threshold(2)));
+        let plan =
+            ExecPlan::batch().with_breaker_policy(Some(BreakerPolicy::new().with_threshold(2)));
         // Two failing runs feed and trip the breaker; the block's own
         // error propagates each time (essentials are never bypassed).
-        assert!(matches!(g.run(), Err(SimError::BlockFailure { .. })));
-        assert!(matches!(g.run(), Err(SimError::BlockFailure { .. })));
+        assert!(matches!(
+            g.execute(&plan),
+            Err(SimError::BlockFailure { .. })
+        ));
+        assert!(matches!(
+            g.execute(&plan),
+            Err(SimError::BlockFailure { .. })
+        ));
         assert!(g.breaker_state(bad).unwrap().is_open());
         // Open breaker on an essential block: fail fast, no invocation.
         let calls = g.block::<FailingStage>(bad).unwrap().calls;
-        match g.run() {
+        match g.execute(&plan) {
             Err(SimError::BlockFault { block, fault }) => {
                 assert_eq!(block, "bad-stage");
                 assert!(fault.contains("circuit breaker open"), "{fault}");
@@ -1632,12 +1513,15 @@ mod tests {
             other => panic!("expected breaker fail-fast, got {other:?}"),
         }
         assert_eq!(g.block::<FailingStage>(bad).unwrap().calls, calls);
-        // reset() clears breaker state (runtime), keeps the policy
-        // (configuration): the block is invoked again and its own error
+        // reset() clears breaker state (runtime state on the graph): under
+        // the same plan the block is invoked again and its own error
         // returns.
         g.reset();
         assert!(!g.breaker_state(bad).unwrap().is_open());
-        assert!(matches!(g.run(), Err(SimError::BlockFailure { .. })));
+        assert!(matches!(
+            g.execute(&plan),
+            Err(SimError::BlockFailure { .. })
+        ));
         assert!(g.block::<FailingStage>(bad).unwrap().calls > calls);
     }
 
@@ -1675,15 +1559,15 @@ mod tests {
             calls: 0,
         });
         g.chain(&[c, flaky]).unwrap();
-        g.set_breaker_policy(Some(
+        let plan = ExecPlan::batch().with_breaker_policy(Some(
             BreakerPolicy::new().with_threshold(1).with_probation(2),
         ));
-        g.run().unwrap(); // fails → trips → bypassed
+        g.execute(&plan).unwrap(); // fails → trips → bypassed
         assert_eq!(g.health(), Health::Degraded);
         assert!(g.breaker_state(flaky).unwrap().is_open());
-        g.run().unwrap(); // probation 1/2: skipped
-        g.run().unwrap(); // probation 2/2: skipped, goes half-open
-        g.run().unwrap(); // half-open trial succeeds → closed
+        g.execute(&plan).unwrap(); // probation 1/2: skipped
+        g.execute(&plan).unwrap(); // probation 2/2: skipped, goes half-open
+        g.execute(&plan).unwrap(); // half-open trial succeeds → closed
         assert!(!g.breaker_state(flaky).unwrap().is_open());
         assert_eq!(g.health(), Health::Healthy);
         assert!((g.output(flaky).unwrap().samples()[0].re - 2.0).abs() < 1e-12);
@@ -1699,64 +1583,54 @@ mod tests {
         let c = g.add(Const(1.0));
         let bad = g.add(Corruptor);
         g.chain(&[c, bad]).unwrap();
-        g.run_instrumented().unwrap();
+        let instrumented = ExecPlan::batch().with_telemetry(true);
+        g.execute(&instrumented).unwrap();
         assert!(g.last_report().is_some());
-        g.guard_non_finite(true);
-        assert!(g.run_instrumented().is_err());
+        assert!(g
+            .execute(&instrumented.clone().guard_non_finite(true))
+            .is_err());
         assert!(
             g.last_report().is_none(),
             "stale success report survived a failed instrumented run"
         );
         // The same holds when the failing pass is not instrumented...
-        g.guard_non_finite(false);
-        g.run_instrumented().unwrap();
-        g.guard_non_finite(true);
-        assert!(g.run().is_err());
+        g.execute(&instrumented).unwrap();
+        assert!(g
+            .execute(&ExecPlan::batch().guard_non_finite(true))
+            .is_err());
         assert!(g.last_report().is_none());
         // ...and when it fails before scheduling (zero chunk length).
-        g.guard_non_finite(false);
-        g.run_instrumented().unwrap();
-        assert!(g.run_streaming(0).is_err());
+        g.execute(&instrumented).unwrap();
+        assert!(g.execute(&ExecPlan::streaming(0)).is_err());
         assert!(g.last_report().is_none());
     }
 
     #[test]
-    fn execute_reads_the_plan_not_the_graph_config() {
-        let build = || {
-            let mut g = Graph::new();
-            let c = g.add(Const(1.0));
-            let bad = g.add(Corruptor);
-            g.chain(&[c, bad]).unwrap();
-            g
-        };
-        // The graph's guard is off, but a guard-on plan wins.
-        let mut g = build();
+    fn each_pass_reads_its_toggles_from_its_own_plan() {
+        let mut g = Graph::new();
+        let c = g.add(Const(1.0));
+        let bad = g.add(Corruptor);
+        g.chain(&[c, bad]).unwrap();
+        // A guard-on plan fails the pass; a guard-off plan on the same
+        // graph right after runs clean — nothing carries over.
         assert!(matches!(
             g.execute(&ExecPlan::batch().guard_non_finite(true)),
             Err(SimError::NonFiniteSample { .. })
         ));
-        // Conversely a guard-off plan ignores the graph's guard-on config;
-        // Graph::plan is the explicit bridge between the two.
-        let mut g = build();
-        g.guard_non_finite(true);
         assert!(g.execute(&ExecPlan::batch()).unwrap().is_none());
-        let lifted = g.plan(ExecMode::Batch);
-        assert!(matches!(
-            g.execute(&lifted),
-            Err(SimError::NonFiniteSample { .. })
-        ));
+        assert_eq!(g.health(), Health::Healthy);
     }
 
     #[test]
-    fn executor_applies_one_plan_to_many_graphs() {
-        let engine = crate::exec::Executor::new(ExecPlan::streaming(4).with_telemetry(true));
+    fn one_plan_drives_many_graphs() {
+        let plan = ExecPlan::streaming(4).with_telemetry(true);
         for gain in [2.0, 3.0] {
             let mut g = Graph::new();
             let src = g.add(Ramp::new(10));
             let amp = g.add(Gain(gain));
             g.chain(&[src, amp]).unwrap();
             g.probe(amp).unwrap();
-            let report = engine.run(&mut g).unwrap().expect("telemetry on");
+            let report = g.execute(&plan).unwrap().expect("telemetry on");
             assert_eq!(report.rounds, 3);
             assert_eq!(g.output(amp).unwrap().len(), 10);
             assert!((g.output(amp).unwrap().samples()[9].re - 9.0 * gain).abs() < 1e-12);

@@ -22,11 +22,6 @@
 //!   [`ScenarioOutcome`]. [`SweepPlan::run_checkpointed`] adds durable
 //!   resume on top.
 //!
-//! The historical free functions ([`run_scenarios`],
-//! [`run_scenarios_instrumented`], [`run_scenarios_resilient`],
-//! [`run_scenarios_supervised`], [`run_scenarios_checkpointed`]) are
-//! deprecated delegating wrappers over these methods.
-//!
 //! Determinism: results are returned in scenario order regardless of which
 //! worker ran them, and [`scenario_seed`] derives a stable per-scenario RNG
 //! seed from a base seed, so a parallel sweep reproduces the sequential one
@@ -49,7 +44,7 @@
 //!         let meter = g.add(PowerMeter::new());
 //!         g.connect(src, pa, 0)?;
 //!         g.connect(pa, meter, 0)?;
-//!         g.run()?;
+//!         g.execute(&ExecPlan::batch())?;
 //!         Ok(g.block::<PowerMeter>(meter).unwrap().power().unwrap())
 //!     })
 //!     .unwrap();
@@ -57,60 +52,17 @@
 //! assert!(powers[0] < powers[2]);
 //! ```
 
+use crate::exec::ExecPlan;
 use crate::supervise::{
     CancelToken, CheckpointEntry, CheckpointPayload, SupervisionReport, SweepCheckpoint,
     SweepSupervisor,
 };
 use crate::telemetry::{FaultReport, SweepReport};
-use crate::Graph;
 use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Legacy pool shape (scenario count + worker threads) accepted by the
-/// deprecated free-function runners; lifts into a [`SweepPlan`] via
-/// `From`.
-#[derive(Debug, Clone)]
-pub struct Scenarios {
-    count: usize,
-    threads: usize,
-}
-
-impl Scenarios {
-    /// `count` scenarios on a default worker pool
-    /// (`std::thread::available_parallelism`, capped at the scenario
-    /// count).
-    pub fn new(count: usize) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Scenarios { count, threads }
-    }
-
-    /// Builder: use exactly `threads` workers (`1` forces a fully
-    /// sequential run on the calling thread).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be nonzero");
-        self.threads = threads;
-        self
-    }
-
-    /// Number of scenarios.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Effective worker count (never more than the scenario count).
-    pub fn effective_threads(&self) -> usize {
-        self.threads.min(self.count).max(1)
-    }
-}
 
 /// A deterministic per-scenario seed: SplitMix64 of `base_seed ⊕ index`.
 ///
@@ -658,53 +610,6 @@ impl SweepPlan {
     }
 }
 
-impl From<Scenarios> for SweepPlan {
-    /// Lifts the legacy pool shape into a plan (count + threads; every
-    /// other toggle at its default).
-    fn from(config: Scenarios) -> Self {
-        SweepPlan::new(config.count).threads(config.threads)
-    }
-}
-
-/// Historical fail-fast entry point; the sweep loop now lives in
-/// [`SweepPlan::run_fail_fast`].
-///
-/// # Errors
-///
-/// The first scenario error, if any scenario fails.
-#[deprecated(note = "build a `SweepPlan` and call `run_fail_fast`")]
-pub fn run_scenarios<R, E, F>(config: Scenarios, scenario: F) -> Result<Vec<R>, E>
-where
-    R: Send,
-    E: Send,
-    F: Fn(usize) -> Result<R, E> + Sync,
-{
-    SweepPlan::from(config)
-        .run_fail_fast(scenario)
-        .map(|(results, _report)| results)
-}
-
-/// Historical instrumented entry point; the timing wiring is now
-/// [`SweepPlan::with_telemetry`] + [`SweepPlan::run_fail_fast`].
-///
-/// # Errors
-///
-/// The first scenario error, if any scenario fails.
-#[deprecated(note = "build a `SweepPlan` with `with_telemetry(true)` and call `run_fail_fast`")]
-pub fn run_scenarios_instrumented<R, E, F>(
-    config: Scenarios,
-    scenario: F,
-) -> Result<(Vec<R>, SweepReport), E>
-where
-    R: Send,
-    E: Send,
-    F: Fn(usize) -> Result<R, E> + Sync,
-{
-    SweepPlan::from(config)
-        .with_telemetry(true)
-        .run_fail_fast(scenario)
-}
-
 /// How many times a fault-tolerant sweep ([`SweepPlan::run`]) re-attempts
 /// a scenario whose attempt panicked or returned an error.
 ///
@@ -798,33 +703,13 @@ struct FaultCounters {
     errors: AtomicUsize,
 }
 
-/// Historical fault-tolerant entry point; the retry/catch machinery now
-/// lives in [`SweepPlan::run`].
-#[deprecated(note = "build a `SweepPlan` with `with_retry` and call `run`")]
-pub fn run_scenarios_resilient<R, E, F>(
-    config: Scenarios,
-    policy: RetryPolicy,
-    scenario: F,
-) -> (Vec<ScenarioOutcome<R>>, SweepReport)
-where
-    R: Send,
-    E: Send + Display,
-    F: Fn(usize, u32) -> Result<R, E> + Sync,
-{
-    let (outcomes, mut report) = SweepPlan::from(config)
-        .with_retry(policy)
-        .run(|i, attempt, _ctx| scenario(i, attempt));
-    // No watchdog, no checkpoint: keep the pre-supervision report shape.
-    report.supervision = None;
-    (outcomes, report)
-}
-
-/// Per-attempt supervision handle the supervised runners pass to each
+/// Per-attempt supervision handle the fault-tolerant contracts
+/// ([`SweepPlan::run`], [`SweepPlan::run_checkpointed`]) pass to each
 /// scenario closure.
 ///
 /// Carries the attempt's cooperative [`CancelToken`] (the sweep watchdog
 /// cancels it when the attempt overruns its budget) and the per-attempt
-/// wall-clock budget. Scenarios wire both into their graph with
+/// wall-clock budget. A scenario wires both into its execution plan with
 /// [`ScenarioCtx::supervise`]; the graph then aborts at the next block or
 /// chunk boundary once the watchdog fires. Cancellation is cooperative —
 /// an attempt that never polls its token (no graph pass, a busy loop)
@@ -866,13 +751,13 @@ impl ScenarioCtx {
         self.started.elapsed()
     }
 
-    /// Wires this attempt's supervision into a graph: the cancellation
-    /// token (polled at block/chunk boundaries) and, when the supervisor
-    /// budgets attempts, a matching graph deadline as a second line of
-    /// defense.
-    pub fn supervise(&self, graph: &mut Graph) {
-        graph.set_cancel_token(Some(self.cancel_token()));
-        graph.set_budget(self.budget);
+    /// Wires this attempt's supervision into an execution plan: the
+    /// cancellation token (polled at block/chunk boundaries) and, when the
+    /// supervisor budgets attempts, a matching graph deadline as a second
+    /// line of defense. Every other toggle of `plan` is kept.
+    pub fn supervise(&self, plan: ExecPlan) -> ExecPlan {
+        plan.with_cancel_token(Some(self.cancel_token()))
+            .with_budget(self.budget)
     }
 }
 
@@ -889,50 +774,7 @@ fn attempt_killed(ctx: &ScenarioCtx) -> bool {
     ctx.is_cancelled() || overran
 }
 
-/// Historical supervised entry point; the watchdog wiring now lives in
-/// [`SweepPlan::run`].
-#[deprecated(note = "build a `SweepPlan` with `with_retry`/`with_supervisor` and call `run`")]
-pub fn run_scenarios_supervised<R, E, F>(
-    config: Scenarios,
-    policy: RetryPolicy,
-    supervisor: &SweepSupervisor,
-    scenario: F,
-) -> (Vec<ScenarioOutcome<R>>, SweepReport)
-where
-    R: Send,
-    E: Send + Display,
-    F: Fn(usize, u32, &ScenarioCtx) -> Result<R, E> + Sync,
-{
-    SweepPlan::from(config)
-        .with_retry(policy)
-        .with_supervisor(*supervisor)
-        .run(scenario)
-}
-
-/// Historical checkpointed entry point; durable resume now lives in
-/// [`SweepPlan::run_checkpointed`].
-#[deprecated(note = "build a `SweepPlan` and call `run_checkpointed`")]
-pub fn run_scenarios_checkpointed<R, E, F>(
-    config: Scenarios,
-    policy: RetryPolicy,
-    supervisor: &SweepSupervisor,
-    checkpoint: &mut SweepCheckpoint,
-    scenario: F,
-) -> (Vec<ScenarioOutcome<R>>, SweepReport)
-where
-    R: Send + Clone + CheckpointPayload,
-    E: Send + Display,
-    F: Fn(usize, u32, &ScenarioCtx) -> Result<R, E> + Sync,
-{
-    SweepPlan::from(config)
-        .with_retry(policy)
-        .with_supervisor(*supervisor)
-        .run_checkpointed(checkpoint, scenario)
-}
-
 #[cfg(test)]
-// The deprecated wrappers stay equivalence-tested until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::channel::AwgnChannel;
@@ -940,24 +782,27 @@ mod tests {
     use crate::source::ToneSource;
     use crate::{Graph, SimError};
 
+    /// Mean power of a tone through scenario `i`'s seeded AWGN channel.
+    fn noisy_tone_power(i: usize) -> Result<f64, SimError> {
+        let mut g = Graph::new();
+        let src = g.add(ToneSource::new(1.0e3, 1.0e6, 256));
+        let ch = g.add(AwgnChannel::from_snr_db(
+            5.0 + i as f64,
+            scenario_seed(42, i),
+        ));
+        let meter = g.add(PowerMeter::new());
+        g.connect(src, ch, 0)?;
+        g.connect(ch, meter, 0)?;
+        g.execute(&ExecPlan::batch())?;
+        Ok(g.block::<PowerMeter>(meter).unwrap().power().unwrap())
+    }
+
     fn sweep(threads: usize) -> Vec<f64> {
-        run_scenarios(
-            Scenarios::new(8).threads(threads),
-            |i| -> Result<f64, SimError> {
-                let mut g = Graph::new();
-                let src = g.add(ToneSource::new(1.0e3, 1.0e6, 256));
-                let ch = g.add(AwgnChannel::from_snr_db(
-                    5.0 + i as f64,
-                    scenario_seed(42, i),
-                ));
-                let meter = g.add(PowerMeter::new());
-                g.connect(src, ch, 0)?;
-                g.connect(ch, meter, 0)?;
-                g.run()?;
-                Ok(g.block::<PowerMeter>(meter).unwrap().power().unwrap())
-            },
-        )
-        .unwrap()
+        SweepPlan::new(8)
+            .threads(threads)
+            .run_fail_fast(noisy_tone_power)
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -971,11 +816,10 @@ mod tests {
 
     #[test]
     fn results_are_in_scenario_order() {
-        let out = run_scenarios(
-            Scenarios::new(100).threads(8),
-            |i| -> Result<usize, SimError> { Ok(i * i) },
-        )
-        .unwrap();
+        let (out, _) = SweepPlan::new(100)
+            .threads(8)
+            .run_fail_fast(|i| -> Result<usize, SimError> { Ok(i * i) })
+            .unwrap();
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * i);
@@ -984,22 +828,23 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_empty() {
-        let out = run_scenarios(Scenarios::new(0), |_| -> Result<(), SimError> { Ok(()) }).unwrap();
+        let (out, _) = SweepPlan::new(0)
+            .run_fail_fast(|_| -> Result<(), SimError> { Ok(()) })
+            .unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn error_propagates() {
-        let res = run_scenarios(
-            Scenarios::new(16).threads(4),
-            |i| -> Result<usize, String> {
+        let res = SweepPlan::new(16)
+            .threads(4)
+            .run_fail_fast(|i| -> Result<usize, String> {
                 if i == 5 {
                     Err("scenario 5 exploded".into())
                 } else {
                     Ok(i)
                 }
-            },
-        );
+            });
         assert_eq!(res.unwrap_err(), "scenario 5 exploded");
     }
 
@@ -1008,37 +853,19 @@ mod tests {
         assert_eq!(scenario_seed(1, 0), scenario_seed(1, 0));
         assert_ne!(scenario_seed(1, 0), scenario_seed(1, 1));
         assert_ne!(scenario_seed(1, 0), scenario_seed(2, 0));
-        let s = Scenarios::new(4).threads(16);
-        assert_eq!(s.effective_threads(), 4);
-        assert_eq!(s.count(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_threads_panics() {
-        let _ = Scenarios::new(1).threads(0);
+        let plan = SweepPlan::new(4).threads(16);
+        assert_eq!(plan.workers(), 4);
+        assert_eq!(plan.count(), 4);
     }
 
     #[test]
     fn instrumented_sweep_reproduces_results_and_times_scenarios() {
         let plain = sweep(4);
-        let (instrumented, report) = run_scenarios_instrumented(
-            Scenarios::new(8).threads(4),
-            |i| -> Result<f64, SimError> {
-                let mut g = Graph::new();
-                let src = g.add(ToneSource::new(1.0e3, 1.0e6, 256));
-                let ch = g.add(AwgnChannel::from_snr_db(
-                    5.0 + i as f64,
-                    scenario_seed(42, i),
-                ));
-                let meter = g.add(PowerMeter::new());
-                g.connect(src, ch, 0)?;
-                g.connect(ch, meter, 0)?;
-                g.run()?;
-                Ok(g.block::<PowerMeter>(meter).unwrap().power().unwrap())
-            },
-        )
-        .unwrap();
+        let (instrumented, report) = SweepPlan::new(8)
+            .threads(4)
+            .with_telemetry(true)
+            .run_fail_fast(noisy_tone_power)
+            .unwrap();
         assert_eq!(plain, instrumented);
         assert_eq!(report.workers, 4);
         assert_eq!(report.scenario_nanos.len(), 8);
@@ -1050,13 +877,10 @@ mod tests {
 
     #[test]
     fn instrumented_sweep_propagates_errors() {
-        let res = run_scenarios_instrumented(Scenarios::new(4).threads(2), |i| {
-            if i == 2 {
-                Err("boom")
-            } else {
-                Ok(i)
-            }
-        });
+        let res = SweepPlan::new(4)
+            .threads(2)
+            .with_telemetry(true)
+            .run_fail_fast(|i| if i == 2 { Err("boom") } else { Ok(i) });
         assert_eq!(res.unwrap_err(), "boom");
     }
 
@@ -1064,17 +888,16 @@ mod tests {
     fn resilient_sweep_survives_panics_and_errors() {
         // Scenario kinds by index: 0 mod 3 clean, 1 mod 3 panics always,
         // 2 mod 3 errors always. No retries: one attempt each.
-        let (outcomes, report) = run_scenarios_resilient(
-            Scenarios::new(9).threads(3),
-            RetryPolicy::none(),
-            |i, _attempt| -> Result<usize, SimError> {
+        let (outcomes, report) = SweepPlan::new(9)
+            .threads(3)
+            .with_retry(RetryPolicy::none())
+            .run(|i, _attempt, _ctx| -> Result<usize, SimError> {
                 match i % 3 {
                     0 => Ok(i),
                     1 => panic!("scenario {i} exploded"),
                     _ => Err(SimError::InvalidChunkLen),
                 }
-            },
-        );
+            });
         assert_eq!(outcomes.len(), 9);
         let faults = report.faults.expect("resilient sweep reports faults");
         assert_eq!(faults.succeeded, 3);
@@ -1118,10 +941,10 @@ mod tests {
     fn resilient_sweep_retries_with_fresh_attempt_numbers() {
         // Fails on attempt 0, succeeds on attempt 1 — a retry-with-reseed
         // scenario. One retry allowed.
-        let (outcomes, report) = run_scenarios_resilient(
-            Scenarios::new(4).threads(2),
-            RetryPolicy::retries(1),
-            |i, attempt| -> Result<u32, String> {
+        let (outcomes, report) = SweepPlan::new(4)
+            .threads(2)
+            .with_retry(RetryPolicy::retries(1))
+            .run(|i, attempt, _ctx| -> Result<u32, String> {
                 if attempt == 0 {
                     if i % 2 == 0 {
                         panic!("first attempt panics");
@@ -1129,8 +952,7 @@ mod tests {
                     return Err("first attempt errors".into());
                 }
                 Ok(attempt)
-            },
-        );
+            });
         let faults = report.faults.expect("faults present");
         assert_eq!(faults.succeeded, 0);
         assert_eq!(faults.retried, 4);
@@ -1148,14 +970,13 @@ mod tests {
     #[test]
     fn resilient_sweep_exhausts_retries_then_faults() {
         let calls = AtomicUsize::new(0);
-        let (outcomes, report) = run_scenarios_resilient(
-            Scenarios::new(1).threads(1),
-            RetryPolicy::retries(2),
-            |_, _| -> Result<(), String> {
+        let (outcomes, report) = SweepPlan::new(1)
+            .threads(1)
+            .with_retry(RetryPolicy::retries(2))
+            .run(|_, _, _ctx| -> Result<(), String> {
                 calls.fetch_add(1, Ordering::Relaxed);
                 Err("always down".into())
-            },
-        );
+            });
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         assert!(outcomes[0].is_faulted());
         assert_eq!(outcomes[0].attempts(), 3);
@@ -1171,11 +992,10 @@ mod tests {
         // Regression: a scenario that fails on its final permitted retry
         // must land in `faulted` only — never also in `retried` — so the
         // outcome counts always partition the sweep.
-        let (outcomes, report) = run_scenarios_resilient(
-            Scenarios::new(1).threads(1),
-            RetryPolicy::retries(1),
-            |_, _| -> Result<(), String> { Err("down on every attempt".into()) },
-        );
+        let (outcomes, report) = SweepPlan::new(1)
+            .threads(1)
+            .with_retry(RetryPolicy::retries(1))
+            .run(|_, _, _ctx| -> Result<(), String> { Err("down on every attempt".into()) });
         let faults = report.faults.expect("present");
         assert_eq!(faults.faulted, 1);
         assert_eq!(
@@ -1186,18 +1006,17 @@ mod tests {
         assert_eq!(outcomes[0].attempts(), 2);
 
         // Mixed sweep: clean, retried and faulted scenarios partition it.
-        let (outcomes, report) = run_scenarios_resilient(
-            Scenarios::new(12).threads(4),
-            RetryPolicy::retries(1),
-            |i, attempt| -> Result<usize, String> {
+        let (outcomes, report) = SweepPlan::new(12)
+            .threads(4)
+            .with_retry(RetryPolicy::retries(1))
+            .run(|i, attempt, _ctx| -> Result<usize, String> {
                 match i % 3 {
                     0 => Ok(i),
                     1 if attempt == 0 => Err("flaky first attempt".into()),
                     1 => Ok(i),
                     _ => Err("always down".into()),
                 }
-            },
-        );
+            });
         let faults = report.faults.expect("present");
         assert_eq!(faults.succeeded, 4);
         assert_eq!(faults.retried, 4);
@@ -1217,11 +1036,11 @@ mod tests {
         let supervisor = SweepSupervisor::new()
             .with_scenario_budget(Duration::from_millis(40))
             .with_poll_interval(Duration::from_millis(1));
-        let (outcomes, report) = run_scenarios_supervised(
-            Scenarios::new(6).threads(3),
-            RetryPolicy::none(),
-            &supervisor,
-            |i, _attempt, ctx| -> Result<usize, String> {
+        let (outcomes, report) = SweepPlan::new(6)
+            .threads(3)
+            .with_retry(RetryPolicy::none())
+            .with_supervisor(supervisor)
+            .run(|i, _attempt, ctx| -> Result<usize, String> {
                 if i % 2 == 0 {
                     return Ok(i);
                 }
@@ -1231,8 +1050,7 @@ mod tests {
                     }
                     std::thread::sleep(Duration::from_millis(1));
                 }
-            },
-        );
+            });
         let faults = report.faults.expect("present");
         assert_eq!(faults.succeeded, 3);
         assert_eq!(faults.faulted, 3);
@@ -1251,16 +1069,15 @@ mod tests {
     #[test]
     fn supervised_without_budget_matches_resilient() {
         use crate::supervise::SweepSupervisor;
-        let (outcomes, report) = run_scenarios_supervised(
-            Scenarios::new(5).threads(2),
-            RetryPolicy::none(),
-            &SweepSupervisor::new(),
-            |i, _attempt, ctx| -> Result<usize, SimError> {
+        let (outcomes, report) = SweepPlan::new(5)
+            .threads(2)
+            .with_retry(RetryPolicy::none())
+            .with_supervisor(SweepSupervisor::new())
+            .run(|i, _attempt, ctx| -> Result<usize, SimError> {
                 assert!(!ctx.is_cancelled());
                 assert!(ctx.budget().is_none());
                 Ok(i * 2)
-            },
-        );
+            });
         assert_eq!(report.supervision.expect("present").deadline_kills, 0);
         for (i, o) in outcomes.iter().enumerate() {
             assert_eq!(o.result(), Some(&(i * 2)));
@@ -1269,7 +1086,7 @@ mod tests {
 
     #[test]
     fn checkpointed_sweep_resumes_and_merges() {
-        use crate::supervise::{SweepCheckpoint, SweepSupervisor};
+        use crate::supervise::SweepCheckpoint;
         let path =
             std::env::temp_dir().join(format!("rfsim-scenario-ckpt-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -1277,10 +1094,7 @@ mod tests {
         // First run: scenarios ≥ 4 fail, so only 0..4 land in the
         // checkpoint.
         let mut ckpt = SweepCheckpoint::load_or_new(&path, "unit", 8).with_batch(1);
-        let (outcomes, report) = run_scenarios_checkpointed(
-            Scenarios::new(8).threads(2),
-            RetryPolicy::none(),
-            &SweepSupervisor::new(),
+        let (outcomes, report) = SweepPlan::new(8).threads(2).run_checkpointed(
             &mut ckpt,
             |i, _attempt, _ctx| -> Result<f64, String> {
                 if i < 4 {
@@ -1298,10 +1112,7 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let mut ckpt = SweepCheckpoint::load_or_new(&path, "unit", 8);
         assert_eq!(ckpt.len(), 4);
-        let (outcomes, report) = run_scenarios_checkpointed(
-            Scenarios::new(8).threads(2),
-            RetryPolicy::none(),
-            &SweepSupervisor::new(),
+        let (outcomes, report) = SweepPlan::new(8).threads(2).run_checkpointed(
             &mut ckpt,
             |i, _attempt, _ctx| -> Result<f64, String> {
                 ran.fetch_add(1, Ordering::Relaxed);
@@ -1325,18 +1136,15 @@ mod tests {
 
     #[test]
     fn resilient_sweep_handles_empty_and_clean_sweeps() {
-        let (outcomes, report) = run_scenarios_resilient(
-            Scenarios::new(0),
-            RetryPolicy::none(),
-            |i, _| -> Result<usize, SimError> { Ok(i) },
-        );
+        let (outcomes, report) = SweepPlan::new(0)
+            .with_retry(RetryPolicy::none())
+            .run(|i, _, _ctx| -> Result<usize, SimError> { Ok(i) });
         assert!(outcomes.is_empty());
         assert_eq!(report.faults.expect("present").survival_rate(), 1.0);
-        let (outcomes, report) = run_scenarios_resilient(
-            Scenarios::new(6).threads(2),
-            RetryPolicy::retries(3),
-            |i, _| -> Result<usize, SimError> { Ok(i * 10) },
-        );
+        let (outcomes, report) = SweepPlan::new(6)
+            .threads(2)
+            .with_retry(RetryPolicy::retries(3))
+            .run(|i, _, _ctx| -> Result<usize, SimError> { Ok(i * 10) });
         let faults = report.faults.expect("present");
         assert_eq!(faults.succeeded, 6);
         assert_eq!(faults.panics_caught + faults.errors_caught, 0);
@@ -1346,22 +1154,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_plan_fail_fast_matches_the_deprecated_runner() {
+    fn sweep_plan_fail_fast_without_telemetry_reads_no_clocks() {
         let (results, report) = SweepPlan::new(8)
             .threads(4)
-            .run_fail_fast(|i| -> Result<f64, SimError> {
-                let mut g = Graph::new();
-                let src = g.add(ToneSource::new(1.0e3, 1.0e6, 256));
-                let ch = g.add(AwgnChannel::from_snr_db(
-                    5.0 + i as f64,
-                    scenario_seed(42, i),
-                ));
-                let meter = g.add(PowerMeter::new());
-                g.connect(src, ch, 0)?;
-                g.connect(ch, meter, 0)?;
-                g.run()?;
-                Ok(g.block::<PowerMeter>(meter).unwrap().power().unwrap())
-            })
+            .run_fail_fast(noisy_tone_power)
             .unwrap();
         assert_eq!(results, sweep(1));
         // Telemetry off: the fail-fast contract reads no clocks.
@@ -1400,16 +1196,6 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, "scenario 5 failed");
-    }
-
-    #[test]
-    fn sweep_plan_lifts_legacy_scenarios_config() {
-        let plan = SweepPlan::from(Scenarios::new(4).threads(16));
-        assert_eq!(plan.count(), 4);
-        assert_eq!(plan.workers(), 4);
-        assert!(!plan.telemetry());
-        assert_eq!(plan.retry(), RetryPolicy::none());
-        assert_eq!(plan.supervisor().scenario_budget(), None);
     }
 
     #[test]

@@ -407,7 +407,7 @@ impl Signal {
 
     /// Index of the first sample whose real or imaginary part is NaN or
     /// infinite, if any — the scan the scheduler's non-finite guard
-    /// ([`crate::Graph::guard_non_finite`]) runs on block outputs.
+    /// ([`crate::ExecPlan::guard_non_finite`]) runs on block outputs.
     pub fn first_non_finite(&self) -> Option<usize> {
         self.re
             .iter()

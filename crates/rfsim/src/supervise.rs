@@ -8,12 +8,12 @@
 //! This module supplies the supervision side of the fault story started by
 //! [`crate::fault`]:
 //!
-//! * **Deadlines** — [`Graph::set_budget`](crate::Graph::set_budget) arms a
-//!   wall-clock [`Deadline`] checked at every block boundary (per chunk in
+//! * **Deadlines** — [`ExecPlan::with_budget`](crate::ExecPlan::with_budget)
+//!   arms a wall-clock [`Deadline`] checked at every block boundary (per chunk in
 //!   streaming runs); an overrun fails the pass with
 //!   [`SimError::DeadlineExceeded`].
 //! * **Cancellation** — a [`CancelToken`] installed via
-//!   [`Graph::set_cancel_token`](crate::Graph::set_cancel_token) is polled
+//!   [`ExecPlan::with_cancel_token`](crate::ExecPlan::with_cancel_token) is polled
 //!   at the same boundaries, so a watchdog thread
 //!   ([`crate::scenario::SweepPlan::run`]) can kill a runaway
 //!   scenario cooperatively with [`SimError::Cancelled`].
@@ -78,8 +78,8 @@ impl fmt::Display for Health {
 /// A wall-clock budget armed at run start and checked at block boundaries.
 ///
 /// Construct via [`Deadline::starting_now`]; the schedulers arm one
-/// automatically when [`Graph::set_budget`](crate::Graph::set_budget) is
-/// configured.
+/// automatically when the plan carries a budget
+/// ([`ExecPlan::with_budget`](crate::ExecPlan::with_budget)).
 #[derive(Debug, Clone, Copy)]
 pub struct Deadline {
     started: Instant,
@@ -352,7 +352,7 @@ impl BlockRole {
 }
 
 /// Thresholds for the per-block circuit breaker
-/// ([`Graph::set_breaker_policy`](crate::Graph::set_breaker_policy)).
+/// ([`ExecPlan::with_breaker_policy`](crate::ExecPlan::with_breaker_policy)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerPolicy {
     threshold: u32,
@@ -536,11 +536,11 @@ impl SweepSupervisor {
 /// runners.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisionReport {
-    /// Scenarios the watchdog killed for exceeding the per-scenario
+    /// Number of scenarios the watchdog killed for exceeding the per-scenario
     /// budget — counted once per scenario, even when several of its
     /// attempts (initial run plus retries) were each cancelled.
     pub deadline_kills: usize,
-    /// Scenarios restored from a [`SweepCheckpoint`] instead of re-run.
+    /// Number of scenarios restored from a [`SweepCheckpoint`] instead of re-run.
     pub resumed: usize,
 }
 

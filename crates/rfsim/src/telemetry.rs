@@ -4,10 +4,10 @@
 //!
 //! The paper's C3 claim — the behavioral OFDM source has negligible cost
 //! inside a full TX chain — is only honest if it can be *measured per
-//! block*. [`crate::Graph::run_instrumented`] and
-//! [`crate::Graph::run_streaming_instrumented`] thread a recorder through
-//! the ordinary schedulers and return a [`RunReport`]; the uninstrumented
-//! entry points keep their signatures and pay no recording cost.
+//! block*. A plan with telemetry on
+//! ([`crate::ExecPlan::with_telemetry`]) threads a recorder through the
+//! scheduler and [`crate::Graph::execute`] returns a [`RunReport`]; a
+//! plan with telemetry off pays no recording cost.
 //!
 //! Reports render as a markdown table ([`RunReport::summary`]) or as a
 //! machine-readable JSON document ([`RunReport::to_json`]) for the
@@ -34,7 +34,7 @@ pub struct BlockStats {
     /// any point of the pass (for batch runs: the pass output length).
     pub buffer_high_water: usize,
     /// How many invocations the circuit breaker replaced with a
-    /// pass-through bypass ([`crate::Graph::set_breaker_policy`]).
+    /// pass-through bypass ([`crate::ExecPlan::with_breaker_policy`]).
     pub bypassed: u64,
 }
 
@@ -61,9 +61,9 @@ impl BlockStats {
 /// Which scheduler produced a [`RunReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
-    /// [`crate::Graph::run_instrumented`] — whole-pass evaluation.
+    /// [`crate::ExecMode::Batch`] — whole-pass evaluation.
     Batch,
-    /// [`crate::Graph::run_streaming_instrumented`] with this chunk length.
+    /// [`crate::ExecMode::Streaming`] with this chunk length.
     Streaming {
         /// The chunk length the pass used.
         chunk_len: usize,
@@ -437,11 +437,11 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 /// instead of whether it survived — it always survives.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultReport {
-    /// Scenarios that succeeded on their first attempt.
+    /// Number of scenarios that succeeded on their first attempt.
     pub succeeded: usize,
-    /// Scenarios that succeeded only after one or more retries.
+    /// Number of scenarios that succeeded only after one or more retries.
     pub retried: usize,
-    /// Scenarios that exhausted all attempts and produced no result.
+    /// Number of scenarios that exhausted all attempts and produced no result.
     pub faulted: usize,
     /// Worker panics caught (across all attempts of all scenarios).
     pub panics_caught: usize,
@@ -455,7 +455,7 @@ impl FaultReport {
         self.succeeded + self.retried + self.faulted
     }
 
-    /// Scenarios that produced a result (first try or after retry).
+    /// Number of scenarios that produced a result (first try or after retry).
     pub fn completed(&self) -> usize {
         self.succeeded + self.retried
     }

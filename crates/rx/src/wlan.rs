@@ -304,7 +304,7 @@ mod tests {
         let ch = g.add(MultipathChannel::two_ray(3, 0.3));
         let noise = g.add(AwgnChannel::from_snr_db(25.0, 8));
         g.chain(&[src, ch, noise]).expect("wiring");
-        g.run().expect("runs");
+        g.execute(&ExecPlan::batch()).expect("runs");
         let received = g.output(noise).expect("ran").clone();
 
         let rx = WlanPacketReceiver::new();

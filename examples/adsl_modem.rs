@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let line = g.add(DslLineChannel::new(10.0, 300e3));
     let sa = g.add(SpectrumAnalyzer::new(512));
     g.chain(&[src, line, sa])?;
-    g.run()?;
+    g.execute(&ExecPlan::batch())?;
     let sa_ref = g.block::<SpectrumAnalyzer>(sa).expect("analyzer present");
     let low = sa_ref.band_power(140e3, 300e3).expect("ran");
     let high = sa_ref.band_power(900e3, 1.06e6).expect("ran");

@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut g = Graph::new();
     let src = g.add(SamplePlayback::new(probe.signal().clone()));
     let out = line_channel(&mut g, src);
-    g.run()?;
+    g.execute(&ExecPlan::batch())?;
     let received = g.output(out).expect("channel ran").clone();
 
     let demod = OfdmDemodulator::new(probe_params.clone());
@@ -132,7 +132,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut g = Graph::new();
     let src = g.add(SamplePlayback::new(frame.signal().clone()));
     let out = line_channel(&mut g, src);
-    g.run()?;
+    g.execute(&ExecPlan::batch())?;
     let showtime_rx = g.output(out).expect("channel ran").clone();
 
     let mut rx = ReferenceReceiver::new(trained_params.clone())?;

@@ -47,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let pa = g.add(RappPa::new(1.0, 3.0).with_input_backoff_db(8.0));
         let sa = g.add(SpectrumAnalyzer::new(256));
         g.chain(&[src, dac, lo, pa, sa])?;
-        g.run()
+        g.execute(&ExecPlan::batch())?;
+        Ok(())
     };
     let n_samples = frame_b.samples().len();
     let mut g_tone = Graph::new();

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ch = g.add(MultipathChannel::two_ray(echo_delay, 0.4));
         let noise = g.add(AwgnChannel::from_snr_db(30.0, 11));
         g.chain(&[src, ch, noise])?;
-        g.run()?;
+        g.execute(&ExecPlan::batch())?;
         let received = g.output(noise).expect("channel ran").clone();
 
         // Demodulate and estimate the channel from the √2-boosted gain

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let lo = g.add(LocalOscillator::new(0.0, 20.0, 5));
         let noise = g.add(AwgnChannel::from_snr_db(snr_db, 99));
         g.chain(&[src, ch, lo, noise])?;
-        g.run()?;
+        g.execute(&ExecPlan::batch())?;
         let received = g.output(noise).expect("channel ran").clone();
 
         // Blind acquisition + decode.

@@ -166,7 +166,7 @@ fn cmd_spectrum(id: StandardId) -> Result<(), Box<dyn std::error::Error>> {
     let src = g.add(SamplePlayback::new(frame.signal().clone()));
     let sa = g.add(SpectrumAnalyzer::new(256));
     g.chain(&[src, sa])?;
-    g.run()?;
+    g.execute(&ExecPlan::batch())?;
     let sa_ref = g.block::<SpectrumAnalyzer>(sa).expect("analyzer present");
     let psd = sa_ref.psd_shifted_db().expect("ran");
     println!(

@@ -3,11 +3,6 @@
 //! standard; and an adversarial fault-injection sweep must run to
 //! completion with per-scenario outcomes matching the injected faults.
 
-// The deprecated free-function runners stay under test until removed;
-// their SweepPlan equivalents are covered in exec_equivalence.rs and the
-// scenario module's unit tests.
-#![allow(deprecated)]
-
 use ofdm_core::source::OfdmSource;
 use ofdm_core::{MotherModel, TxError};
 use ofdm_standards::{default_params, StandardId};
@@ -38,7 +33,7 @@ proptest! {
         prop_assert!(tx.transmit(&payload).is_ok(), "{id}: usable after rejection");
     }
 
-    /// `run_streaming(0)` is `SimError::InvalidChunkLen` for every
+    /// A zero-length streaming plan is `SimError::InvalidChunkLen` for every
     /// standard's source chain; the same graph still runs batch and at a
     /// sane chunk length afterwards.
     #[test]
@@ -53,15 +48,24 @@ proptest! {
         let src = g.add(OfdmSource::new(p, bits, seed).expect("preset valid"));
         let meter = g.add(PowerMeter::new());
         g.connect(src, meter, 0).expect("wires");
-        prop_assert_eq!(g.run_streaming(0).unwrap_err(), SimError::InvalidChunkLen);
-        prop_assert!(g.run().is_ok(), "{id}: batch run after rejected chunk len");
+        prop_assert_eq!(
+            g.execute(&ExecPlan::streaming(0)).unwrap_err(),
+            SimError::InvalidChunkLen
+        );
+        prop_assert!(
+            g.execute(&ExecPlan::batch()).is_ok(),
+            "{id}: batch run after rejected chunk len"
+        );
         g.reset();
-        prop_assert!(g.run_streaming(128).is_ok(), "{id}: streaming after reset");
+        prop_assert!(
+            g.execute(&ExecPlan::streaming(128)).is_ok(),
+            "{id}: streaming after reset"
+        );
     }
 
     /// A non-finite sample injected mid-stream surfaces as
     /// `NonFiniteSample` naming the corrupting block — on batch and
-    /// streaming paths alike — once the graph guard is armed.
+    /// streaming paths alike — once the plan arms the guard.
     #[test]
     fn non_finite_guard_catches_midstream_nans(
         s in 0usize..StandardId::ALL.len(),
@@ -73,7 +77,6 @@ proptest! {
         let bits = p.nominal_bits_per_symbol().max(100);
         let build = || {
             let mut g = Graph::new();
-            g.guard_non_finite(true);
             let src = g.add(OfdmSource::new(p.clone(), bits, seed).expect("preset valid"));
             let nan = g.add(NanInjector::new(1.0, seed ^ 0xBAD));
             let meter = g.add(PowerMeter::new());
@@ -90,8 +93,9 @@ proptest! {
                 Ok(())
             }
         };
-        expect_nan_error(build().run().unwrap_err())?;
-        expect_nan_error(build().run_streaming(chunk).unwrap_err())?;
+        for plan in [ExecPlan::batch(), ExecPlan::streaming(chunk)] {
+            expect_nan_error(build().execute(&plan.guard_non_finite(true)).unwrap_err())?;
+        }
     }
 }
 
@@ -101,10 +105,10 @@ proptest! {
 /// per-scenario outcome counts exactly matching the injected faults.
 #[test]
 fn adversarial_sweep_completes_with_partial_results() {
-    let (outcomes, report) = run_scenarios_resilient(
-        Scenarios::new(64).threads(4),
-        RetryPolicy::retries(1),
-        |i, attempt| -> Result<f64, SimError> {
+    let (outcomes, report) = SweepPlan::new(64)
+        .threads(4)
+        .with_retry(RetryPolicy::retries(1))
+        .run(|i, attempt, _ctx| -> Result<f64, SimError> {
             let seed = scenario_seed(0xFA17, i) ^ u64::from(attempt);
             // Scenario kinds by index: clean / panics-once / always-NaN /
             // erasures. Panic scenarios are healthy on their retry.
@@ -115,7 +119,6 @@ fn adversarial_sweep_completes_with_partial_results() {
                 _ => FaultPlan::new().with_drop_rate(0.25),
             };
             let mut g = Graph::new();
-            g.guard_non_finite(true);
             let src = g.add(ToneSource::new(1.0e6, 20.0e6, 1024));
             // The plan rotates over three distinct block types.
             let impaired = match (i / 4) % 3 {
@@ -125,13 +128,12 @@ fn adversarial_sweep_completes_with_partial_results() {
             };
             let meter = g.add(PowerMeter::new());
             g.chain(&[src, impaired, meter])?;
-            g.run()?;
+            g.execute(&ExecPlan::batch().guard_non_finite(true))?;
             Ok(g.block::<PowerMeter>(meter)
                 .expect("present")
                 .power()
                 .expect("ran"))
-        },
-    );
+        });
 
     assert_eq!(outcomes.len(), 64, "every scenario must report an outcome");
     let faults = report.faults.expect("resilient sweep reports faults");

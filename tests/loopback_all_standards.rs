@@ -92,7 +92,7 @@ fn every_standard_meets_spectral_occupancy_and_evm_bounds() {
         let src = g.add(SamplePlayback::new(frame.signal().clone()));
         let sa = g.add(SpectrumAnalyzer::new(512));
         g.chain(&[src, sa]).expect("wires");
-        g.run().expect("runs");
+        g.execute(&ExecPlan::batch()).expect("runs");
         let obw = g
             .block::<SpectrumAnalyzer>(sa)
             .expect("present")

@@ -100,8 +100,12 @@ fn telemetry_confirms_behavioral_speedup_over_rtl() {
     g.chain(&[src, meter]).expect("wires");
     let mut beh_nanos = u64::MAX;
     let mut beh_samples = 0u64;
+    let plan = ExecPlan::streaming(256).with_telemetry(true);
     for _ in 0..3 {
-        let report = g.run_streaming_instrumented(256).expect("runs");
+        let report = g
+            .execute(&plan)
+            .expect("runs")
+            .expect("telemetry requested");
         let stats = report
             .blocks
             .iter()

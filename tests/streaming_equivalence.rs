@@ -11,11 +11,6 @@
 //! warm-up, and the parallel scenario runner reproduces sequential results
 //! for the same seeds.
 
-// The deprecated free-function runners stay under test until removed;
-// their SweepPlan equivalents are covered in exec_equivalence.rs and the
-// scenario module's unit tests.
-#![allow(deprecated)]
-
 use ofdm_core::params::presets::minimal_test_params;
 use ofdm_core::source::OfdmSource;
 use rfsim::prelude::*;
@@ -38,7 +33,7 @@ fn build_chain(seed: u64) -> (Graph, BlockId, BlockId, BlockId, BlockId) {
 #[test]
 fn chunked_run_is_bit_identical_to_batch() {
     let (mut batch, _, _, ch, meter) = build_chain(17);
-    batch.run().unwrap();
+    batch.execute(&ExecPlan::batch()).unwrap();
     let want = batch.output(ch).unwrap().clone();
     let want_power = batch.block::<PowerMeter>(meter).unwrap().power().unwrap();
     // 480 payload bits / 24 per symbol → 20 symbols × 80 samples = 1600.
@@ -49,7 +44,7 @@ fn chunked_run_is_bit_identical_to_batch() {
     for chunk_len in [1usize, 7, 77, 80, 256, 5000] {
         let (mut g, _, _, ch, meter) = build_chain(17);
         g.probe(ch).unwrap();
-        g.run_streaming(chunk_len).unwrap();
+        g.execute(&ExecPlan::streaming(chunk_len)).unwrap();
         let got = g.output(ch).unwrap();
         assert_eq!(got, &want, "chunk_len {chunk_len}");
         let got_power = g.block::<PowerMeter>(meter).unwrap().power().unwrap();
@@ -61,7 +56,7 @@ fn chunked_run_is_bit_identical_to_batch() {
 fn unprobed_nodes_retain_nothing_probed_nodes_everything() {
     let (mut g, src, pa, ch, meter) = build_chain(3);
     g.probe(ch).unwrap();
-    g.run_streaming(128).unwrap();
+    g.execute(&ExecPlan::streaming(128)).unwrap();
     assert!(g.output(src).is_none(), "unprobed source must not retain");
     assert!(g.output(pa).is_none(), "unprobed PA must not retain");
     assert!(g.output(meter).is_none(), "unprobed meter must not retain");
@@ -106,24 +101,25 @@ fn per_edge_buffers_are_bounded_by_chunk_size() {
 #[test]
 fn parallel_scenario_sweep_reproduces_sequential() {
     let sweep = |threads: usize| -> Vec<(f64, usize)> {
-        run_scenarios(
-            Scenarios::new(6).threads(threads),
-            |i| -> Result<(f64, usize), SimError> {
+        let (results, _) = SweepPlan::new(6)
+            .threads(threads)
+            .run_fail_fast(|i| -> Result<(f64, usize), SimError> {
                 let seed = scenario_seed(1234, i);
                 let (mut g, _, _, ch, meter) = build_chain(seed);
                 g.probe(ch).unwrap();
                 // Mix batch and streaming scenarios: both engines must give
                 // the same result for the same seed either way.
-                if i % 2 == 0 {
-                    g.run()?;
+                let plan = if i % 2 == 0 {
+                    ExecPlan::batch()
                 } else {
-                    g.run_streaming(100 + i)?;
-                }
+                    ExecPlan::streaming(100 + i)
+                };
+                g.execute(&plan)?;
                 let p = g.block::<PowerMeter>(meter).unwrap().power().unwrap();
                 Ok((p, g.output(ch).unwrap().len()))
-            },
-        )
-        .unwrap()
+            })
+            .unwrap();
+        results
     };
     let seq = sweep(1);
     let par = sweep(4);

@@ -38,7 +38,7 @@ fn link_survives_combined_impairments() {
     let lo = g.add(LocalOscillator::new(0.0, 30.0, 6));
     let noise = g.add(AwgnChannel::from_snr_db(22.0, 44));
     g.chain(&[src, ch, lo, noise]).expect("wiring");
-    g.run().expect("runs");
+    g.execute(&ExecPlan::batch()).expect("runs");
     let received = g.output(noise).expect("ran").clone();
 
     let packet = WlanPacketReceiver::new()
