@@ -36,29 +36,22 @@ echo "==> crate tests: cargo test -q --workspace"
 # waterfall smoke specs with their exact-count assertions).
 cargo test -q --workspace --exclude ofdm-ip-family
 
-echo "==> telemetry smoke: experiments --emit-bench / --check-bench"
-# A tiny instrumented sweep over all ten standards; --check-bench fails the
-# gate if the emitted JSON is missing any per-block or per-stage key, or if
-# the simd_speedup gate trips: any standard's batched kernel below 1x of
-# the scalar polar path, 802.11a or DVB-T below 5x, or the family geomean
-# below 3x.
-cargo run --release -q -p ofdm-bench --bin experiments -- \
-    --emit-bench BENCH_ofdm.json --bench-symbols 4
-
-cargo run --release -q -p ofdm-bench --bin experiments -- \
-    --check-bench BENCH_ofdm.json
-
-echo "==> lab smokes: experiments --spec (smoke, waterfall_smoke)"
+echo "==> lab smokes: experiments --spec (smoke, waterfall_smoke, bench)"
 # The declarative experiment lab end to end: run each small spec through
 # the engine, emit the byte-stable lab/v1 document, and validate it
 # (shape, finiteness, verdict) with --check-lab. smoke.json is a
 # zero-error loopback on two presets; waterfall_smoke.json is a fixed-seed
 # BER-vs-SNR grid (2 standards x 4 SNR points) whose assertions hold BER
 # in [0, 1], the curves monotone-descending and the last SNR point below
-# the first. The E9/E10 specs run in the crate tests above.
+# the first. bench.json times the source -> PA -> meter chain on all ten
+# standards (per-block and per-stage split, all volatile, so the document
+# stays byte-stable) and runs the SIMD speedup gate: the run fails if any
+# standard's batched PA kernel is below 1x of the scalar polar path,
+# 802.11a or DVB-T below 5x, or the family geomean below 3x. The E9/E10
+# specs run in the crate tests above.
 LAB_DIR=$(mktemp -d)
 trap 'rm -rf "$LAB_DIR"' EXIT
-for spec in smoke waterfall_smoke; do
+for spec in smoke waterfall_smoke bench; do
     cargo run --release -q -p ofdm-bench --bin experiments -- \
         --spec "examples/lab/$spec.json" --lab-out "$LAB_DIR/$spec.json"
     cargo run --release -q -p ofdm-bench --bin experiments -- \

@@ -1,8 +1,8 @@
 //! Batched split-kernel benchmarks (DESIGN.md §3.5): the SoA hot loops
 //! against the retained per-sample polar paths they replaced, on a real
-//! 802.11a envelope. The `simd_speedup` object in `BENCH_ofdm.json`
-//! tracks the same comparison per standard with hard `--check-bench`
-//! floors; this bench is the fine-grained criterion view.
+//! 802.11a envelope. The `pa_speedup` scenario of `experiments bench`
+//! tracks the same comparison per standard with hard floors; this bench
+//! is the fine-grained criterion view.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ofdm_bench::transmit_frame;

@@ -1,12 +1,11 @@
-//! CI gate validators for the machine-readable bench documents.
+//! CI gates: the `lab/v1` document validator and the SIMD speedup floors.
 //!
-//! Each emitted JSON artifact has a schema-checking twin here:
-//! `BENCH_ofdm.json` (`bench-ofdm/v1`) and the experiment-lab report
-//! (`lab/v1`). The `check_*_doc` functions validate an in-memory [`Value`]; the
-//! `check_*_json` wrappers add file IO and prefix errors with the path.
-//! The experiments binary delegates `--check-bench` / `--check-lab` to
-//! these, and the failure paths are unit-tested below — a gate that only
-//! ever sees happy-path input is not a gate.
+//! [`check_lab_doc`] validates an in-memory experiment-lab report and
+//! [`check_lab_json`] adds file IO (the experiments binary's
+//! `--check-lab`). [`check_simd_speedups`] holds the batched PA kernel to
+//! its floors; the `pa_speedup` lab kernel calls it, so a missed floor
+//! fails the `bench` run. The failure paths are unit-tested — a gate that
+//! only ever sees happy-path input is not a gate.
 
 use ofdm_standards::StandardId;
 use serde::json::Value;
@@ -24,131 +23,48 @@ fn finite(v: Option<f64>, what: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-/// Validates a `bench-ofdm/v1` document: every required key present and
-/// well-typed for all ten standards, the optional SIMD section sound when
-/// present, and every gated ratio within its floor. This is the CI gate on the telemetry pipeline.
-pub fn check_bench_doc(doc: &Value) -> Result<(), String> {
-    if doc.get("schema").and_then(Value::as_str) != Some("bench-ofdm/v1") {
-        return Err("missing or wrong `schema` (want \"bench-ofdm/v1\")".into());
-    }
-    for key in [
-        "symbols",
-        "behavioral_vs_rtl_ratio",
-        "instrumented_overhead_ratio",
-    ] {
-        let v = doc
-            .get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("missing numeric `{key}`"))?;
-        if !v.is_finite() || v <= 0.0 {
-            return Err(format!("`{key}` must be finite and positive, got {v}"));
-        }
-    }
-    let standards = doc.get("standards").ok_or("missing `standards`")?;
-    // The shim serializes non-finite f64 as `null` (caught as a missing
-    // numeric), but a hand-edited or foreign file can still carry
-    // garbage — reject any non-finite number explicitly.
-    for id in StandardId::ALL {
-        let key = id.key();
-        let s = standards
-            .get(key)
-            .ok_or_else(|| format!("missing standard `{key}`"))?;
-        for field in ["total_ns", "samples", "throughput_msps"] {
-            finite(
-                s.get(field).and_then(Value::as_f64),
-                &format!("`{key}`.`{field}`"),
-            )?;
-        }
-        let per_block = s
-            .get("per_block_ns")
-            .and_then(Value::as_object)
-            .ok_or_else(|| format!("`{key}` missing object `per_block_ns`"))?;
-        if per_block.is_empty() {
-            return Err(format!("`{key}`: `per_block_ns` is empty"));
-        }
-        for (block, ns) in per_block {
-            finite(ns.as_f64(), &format!("`{key}` block `{block}` ns"))?;
-        }
-        let stages = s
-            .get("stages_ns")
-            .ok_or_else(|| format!("`{key}` missing `stages_ns`"))?;
-        for stage in ["pilot", "map", "ifft", "cp"] {
-            finite(
-                stages.get(stage).and_then(Value::as_f64),
-                &format!("`{key}` stage `{stage}`"),
-            )?;
-        }
-    }
-    // The SoA payoff gate: optional in files predating the split-layout
-    // refactor; when present, every standard's batched kernel must at
-    // minimum not regress the scalar path, the two headline standards
-    // (802.11a and DVB-T) must clear 5x, and the family geomean 3x.
-    if let Some(simd) = doc.get("simd_speedup") {
-        let entries = simd
-            .get("standards")
-            .and_then(Value::as_object)
-            .ok_or("`simd_speedup` missing object `standards`")?;
-        if entries.len() != StandardId::ALL.len() {
-            return Err(format!(
-                "`simd_speedup`.`standards` has {} entries, want {}",
-                entries.len(),
-                StandardId::ALL.len()
-            ));
-        }
-        for id in StandardId::ALL {
-            let key = id.key();
-            let s = simd
-                .get("standards")
-                .and_then(|e| e.get(key))
-                .ok_or_else(|| format!("`simd_speedup` missing standard `{key}`"))?;
-            for field in ["samples", "scalar_ns", "batched_ns"] {
-                finite(
-                    s.get(field).and_then(Value::as_f64),
-                    &format!("`simd_speedup`.`{key}`.`{field}`"),
-                )?;
-            }
-            let speedup = finite(
-                s.get("speedup").and_then(Value::as_f64),
-                &format!("`simd_speedup`.`{key}`.`speedup`"),
-            )?;
-            if speedup < 1.0 {
-                return Err(format!(
-                    "`simd_speedup`.`{key}`: batched kernel slower than the \
-                     scalar path ({speedup:.2}x, floor 1x)"
-                ));
-            }
-            let floor = match id {
-                StandardId::Ieee80211a | StandardId::DvbT => 5.0,
-                _ => 1.0,
-            };
-            if speedup < floor {
-                return Err(format!(
-                    "`simd_speedup`.`{key}`: {speedup:.2}x below the {floor}x floor"
-                ));
-            }
-        }
-        let geomean = finite(
-            simd.get("geomean").and_then(Value::as_f64),
-            "`simd_speedup`.`geomean`",
-        )?;
-        if geomean < 3.0 {
-            return Err(format!(
-                "`simd_speedup`.`geomean` {geomean:.2}x below the 3x family floor"
-            ));
-        }
-    }
-    Ok(())
-}
+/// Per-standard floor on the batched Rapp kernel's speedup over the
+/// scalar polar path: the split layout must never be slower.
+pub const SIMD_FLOOR: f64 = 1.0;
+/// Floor for the two headline standards, 802.11a and DVB-T.
+pub const SIMD_HEADLINE_FLOOR: f64 = 5.0;
+/// Floor for the geometric mean over the whole family.
+pub const SIMD_GEOMEAN_FLOOR: f64 = 3.0;
 
-/// `--check-bench FILE`: reads and validates an emitted `BENCH_ofdm.json`,
-/// returning the human summary lines to print.
-pub fn check_bench_json(path: &str) -> Result<Vec<String>, String> {
-    let doc = read_doc(path)?;
-    check_bench_doc(&doc).map_err(|e| format!("{path}: {e}"))?;
-    Ok(vec![format!(
-        "{path}: ok ({} standards)",
-        StandardId::ALL.len()
-    )])
+/// The structure-of-arrays payoff gate (DESIGN §3.5): every standard's
+/// batched-vs-scalar PA speedup clears [`SIMD_FLOOR`], 802.11a and DVB-T
+/// clear [`SIMD_HEADLINE_FLOOR`], and the geometric mean clears
+/// [`SIMD_GEOMEAN_FLOOR`]. Returns the geometric mean.
+///
+/// # Errors
+///
+/// The first missed floor, naming the standard, the speedup and the
+/// floor; or an empty measurement set.
+pub fn check_simd_speedups(speedups: &[(StandardId, f64)]) -> Result<f64, String> {
+    if speedups.is_empty() {
+        return Err("simd_speedup: no standards measured".into());
+    }
+    let mut log_sum = 0.0;
+    for &(id, speedup) in speedups {
+        let floor = match id {
+            StandardId::Ieee80211a | StandardId::DvbT => SIMD_HEADLINE_FLOOR,
+            _ => SIMD_FLOOR,
+        };
+        if speedup.is_nan() || speedup < floor {
+            return Err(format!(
+                "simd_speedup `{}`: {speedup:.2}x below the {floor}x floor",
+                id.key()
+            ));
+        }
+        log_sum += speedup.ln();
+    }
+    let geomean = (log_sum / speedups.len() as f64).exp();
+    if geomean < SIMD_GEOMEAN_FLOOR {
+        return Err(format!(
+            "simd_speedup geomean: {geomean:.2}x below the {SIMD_GEOMEAN_FLOOR}x family floor"
+        ));
+    }
+    Ok(geomean)
 }
 
 /// Validates a `lab/v1` experiment report: schema and identity fields,
@@ -306,158 +222,61 @@ pub fn check_lab_json(path: &str) -> Result<Vec<String>, String> {
 mod tests {
     use super::*;
 
-    fn obj(members: Vec<(&str, Value)>) -> Value {
-        Value::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    }
-
-    /// A minimal document that passes `check_bench_doc`: the three scalar
-    /// ratios plus every standard's timing block. Tests mutate one field
-    /// at a time and assert the validator names it.
-    fn valid_bench_doc() -> Value {
-        let standard = || {
-            obj(vec![
-                ("total_ns", Value::from(1.0e6)),
-                ("samples", Value::from(4096.0)),
-                ("throughput_msps", Value::from(12.5)),
-                ("per_block_ns", obj(vec![("tx", Value::from(9.0e5))])),
-                (
-                    "stages_ns",
-                    obj(vec![
-                        ("pilot", Value::from(1.0e4)),
-                        ("map", Value::from(2.0e4)),
-                        ("ifft", Value::from(6.0e5)),
-                        ("cp", Value::from(5.0e4)),
-                    ]),
-                ),
-            ])
-        };
-        obj(vec![
-            ("schema", Value::from("bench-ofdm/v1")),
-            ("symbols", Value::from(4.0)),
-            ("behavioral_vs_rtl_ratio", Value::from(0.02)),
-            ("instrumented_overhead_ratio", Value::from(1.01)),
-            (
-                "standards",
-                Value::Object(
-                    StandardId::ALL
-                        .iter()
-                        .map(|id| (id.key().to_string(), standard()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Replaces `doc.<path>` (dot-separated member path) with `v`.
-    fn set(doc: &mut Value, path: &str, v: Value) {
-        let mut cur = doc;
-        let mut parts = path.split('.').peekable();
-        while let Some(key) = parts.next() {
-            let Value::Object(members) = cur else {
-                panic!("set: `{key}` parent is not an object")
-            };
-            if parts.peek().is_none() {
-                match members.iter_mut().find(|(k, _)| k == key) {
-                    Some(slot) => slot.1 = v,
-                    None => members.push((key.into(), v)),
-                }
-                return;
-            }
-            cur = members
-                .iter_mut()
-                .find(|(k, _)| k == key)
-                .map(|(_, child)| child)
-                .expect("set: missing intermediate member");
-        }
+    /// Every standard at `speedup`, then `id` overridden to `own`.
+    fn family(speedup: f64, id: StandardId, own: f64) -> Vec<(StandardId, f64)> {
+        StandardId::ALL
+            .iter()
+            .map(|&s| (s, if s == id { own } else { speedup }))
+            .collect()
     }
 
     #[test]
-    fn bench_doc_happy_path_passes() {
-        assert_eq!(check_bench_doc(&valid_bench_doc()), Ok(()));
+    fn simd_floors_pass_a_healthy_family() {
+        let geomean = check_simd_speedups(&family(6.0, StandardId::Dab, 6.0)).expect("passes");
+        assert!((geomean - 6.0).abs() < 1e-12, "{geomean}");
     }
 
     #[test]
-    fn bench_doc_rejects_missing_schema_and_keys() {
-        let mut doc = valid_bench_doc();
-        set(&mut doc, "schema", Value::from("bench-ofdm/v2"));
-        let err = check_bench_doc(&doc).expect_err("wrong schema");
-        assert!(err.contains("schema"), "{err}");
-
-        let mut doc = valid_bench_doc();
-        set(&mut doc, "symbols", Value::Null);
-        let err = check_bench_doc(&doc).expect_err("missing key");
-        assert!(err.contains("symbols"), "{err}");
-
-        // A standard with no `stages_ns.ifft` names the standard and stage.
-        let mut doc = valid_bench_doc();
-        set(&mut doc, "standards.dab.stages_ns.ifft", Value::Null);
-        let err = check_bench_doc(&doc).expect_err("missing stage");
-        assert!(err.contains("dab") && err.contains("ifft"), "{err}");
-    }
-
-    #[test]
-    fn bench_doc_rejects_non_finite_values() {
-        // The shim parses `null` where a non-finite f64 was serialized;
-        // `Value::from(f64::NAN)` models a hand-built in-memory document.
-        let mut doc = valid_bench_doc();
-        set(&mut doc, "standards.adsl.total_ns", Value::from(f64::NAN));
-        let err = check_bench_doc(&doc).expect_err("NaN total_ns");
-        assert!(err.contains("adsl"), "{err}");
-
-        let mut doc = valid_bench_doc();
-        set(
-            &mut doc,
-            "standards.vdsl.per_block_ns.tx",
-            Value::from(f64::INFINITY),
+    fn simd_floor_trips_on_any_standard_below_1x() {
+        let err = check_simd_speedups(&family(6.0, StandardId::Adsl, 0.9)).expect_err("1x floor");
+        assert!(
+            err.contains("`adsl`") && err.contains("0.90x") && err.contains("1x floor"),
+            "{err}"
         );
-        let err = check_bench_doc(&doc).expect_err("inf block ns");
-        assert!(err.contains("not finite"), "{err}");
     }
 
     #[test]
-    fn bench_doc_rejects_out_of_range_ratios() {
-        for key in ["behavioral_vs_rtl_ratio", "instrumented_overhead_ratio"] {
-            for bad in [0.0, -1.0] {
-                let mut doc = valid_bench_doc();
-                set(&mut doc, key, Value::from(bad));
-                let err = check_bench_doc(&doc).expect_err("non-positive ratio");
-                assert!(err.contains(key) && err.contains("positive"), "{err}");
-            }
-        }
-    }
-
-    #[test]
-    fn bench_doc_gates_simd_floors() {
-        let simd_entry = |speedup: f64| {
-            obj(vec![
-                ("samples", Value::from(4096.0)),
-                ("scalar_ns", Value::from(1.0e6)),
-                ("batched_ns", Value::from(1.0e6 / speedup)),
-                ("speedup", Value::from(speedup)),
-            ])
-        };
-        let mut doc = valid_bench_doc();
-        set(
-            &mut doc,
-            "simd_speedup",
-            obj(vec![
-                (
-                    "standards",
-                    Value::Object(
-                        StandardId::ALL
-                            .iter()
-                            .map(|id| (id.key().to_string(), simd_entry(6.0)))
-                            .collect(),
-                    ),
-                ),
-                ("geomean", Value::from(6.0)),
-            ]),
+    fn simd_floor_trips_on_dvb_t_below_5x() {
+        // 4x clears the family-wide 1x floor but not DVB-T's headline floor.
+        let err = check_simd_speedups(&family(6.0, StandardId::DvbT, 4.0)).expect_err("5x floor");
+        assert!(
+            err.contains("`dvb-t`") && err.contains("4.00x") && err.contains("5x floor"),
+            "{err}"
         );
-        assert_eq!(check_bench_doc(&doc), Ok(()));
-        // DVB-T below its 5x headline floor trips the gate even though it
-        // clears the family-wide 1x floor.
-        set(&mut doc, "simd_speedup.standards.dvb-t", simd_entry(2.0));
-        let err = check_bench_doc(&doc).expect_err("headline floor");
-        assert!(err.contains("5x floor"), "{err}");
+        // The same 4x on a non-headline standard passes.
+        assert!(check_simd_speedups(&family(6.0, StandardId::Drm, 4.0)).is_ok());
+    }
+
+    #[test]
+    fn simd_floor_trips_on_geomean_below_3x() {
+        // Headline standards at 5x, the other eight at 2x: geomean ≈ 2.4x.
+        let speedups: Vec<(StandardId, f64)> = StandardId::ALL
+            .iter()
+            .map(|&s| match s {
+                StandardId::Ieee80211a | StandardId::DvbT => (s, 5.0),
+                _ => (s, 2.0),
+            })
+            .collect();
+        let err = check_simd_speedups(&speedups).expect_err("geomean floor");
+        assert!(
+            err.contains("geomean") && err.contains("3x family floor"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn simd_floor_rejects_nan_and_empty_input() {
+        assert!(check_simd_speedups(&family(6.0, StandardId::Dab, f64::NAN)).is_err());
+        assert!(check_simd_speedups(&[]).is_err());
     }
 }

@@ -552,6 +552,10 @@ pub fn render(run: &LabRun) -> String {
                         .unwrap_or_else(|| "-".to_owned())
                 })
                 .collect();
+            // A scenario whose workload never reports this metric gets no row.
+            if row.iter().all(|cell| cell == "-") {
+                continue;
+            }
             out.push_str(&format!("| {} | {} |\n", scenario.label, row.join(" | ")));
         }
     }
