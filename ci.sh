@@ -10,14 +10,17 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> clippy fault-path gate: no unwrap/panic in rfsim + core lib code"
-# Execution paths through Graph::execute and the SweepPlan contracts must
-# degrade via typed SimError values, never unwind. Only the library
-# targets are gated (--lib skips #[cfg(test)] modules, integration tests
-# and benches, which are free to unwrap/assert).
+echo "==> clippy fault-path gate: no unwrap/panic in library code"
+# Execution paths through Graph::execute, the SweepPlan contracts, the
+# receivers, the DSP kernels and the service must degrade via typed
+# errors, never unwind. Only the library targets are gated (--lib skips
+# #[cfg(test)] modules, integration tests and benches, which are free to
+# unwrap/assert).
 cargo clippy -p rfsim -p ofdm-core --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic
 cargo clippy -p ofdm-bench --lib -- \
+    -D warnings -D clippy::unwrap_used -D clippy::panic
+cargo clippy -p ofdm-server -p ofdm-rx -p ofdm-dsp -p ofdm-standards --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::panic
 
 echo "==> cargo doc --no-deps (warnings are errors)"

@@ -178,6 +178,8 @@ impl Error for SimError {}
 ///
 /// Blocks process whole signal blocks (frames), matching the behavioral
 /// abstraction level the paper argues for: no per-sample event scheduling.
+/// A block with a chunk kernel ([`Block::process_chunk`]) has exactly one:
+/// its batch [`Block::process`] is [`whole_pass`], the pass as one chunk.
 ///
 /// The `Any` supertrait lets [`crate::Graph::block`] hand instruments back
 /// to the caller by concrete type after a run.
@@ -208,6 +210,8 @@ pub trait Block: Send + std::any::Any {
     /// Processes one simulation pass.
     ///
     /// `inputs` holds exactly `input_count()` signals, ordered by port.
+    /// The scheduler calls this only to evaluate sources; blocks that
+    /// override [`Block::process_chunk`] implement it as [`whole_pass`].
     ///
     /// # Errors
     ///
@@ -219,22 +223,23 @@ pub trait Block: Send + std::any::Any {
     /// Clears internal state (delay lines, accumulators) between runs.
     fn reset(&mut self) {}
 
-    /// Hook called once before the first chunk of a streaming pass
-    /// ([`crate::ExecMode::Streaming`]). Instruments arm their
-    /// accumulators here.
+    /// Hook called once before the first chunk of every pass, batch or
+    /// streaming. Instruments arm their accumulators here.
     fn begin_stream(&mut self) {}
 
-    /// Processes one chunk of a streaming pass into a reused output buffer.
+    /// Processes one chunk of a pass into a reused output buffer. The
+    /// scheduler invokes every interior block through this method; a
+    /// batch pass is one chunk holding the whole pass.
     ///
     /// `inputs` holds exactly `input_count()` chunk signals, ordered by
     /// port; `out` arrives with whatever the block wrote last chunk and
     /// must be overwritten. Stateful blocks (filters, channels with running
-    /// phase) rely on chunks arriving in order — chunk-sequential
-    /// processing of a pass must equal one batch [`Block::process`] call.
+    /// phase) rely on chunks arriving in order and carry their state from
+    /// chunk to chunk, so any chunking of a pass gives the same output.
     ///
     /// The default adapter clones the chunk inputs and delegates to
-    /// `process`, so batch-only blocks participate in streaming runs
-    /// unchanged (at the cost of one copy per chunk). Blocks on hot paths
+    /// `process`, so batch-only blocks (e.g. the resamplers) participate
+    /// unchanged, at the cost of one copy per chunk. Blocks on hot paths
     /// override this to write `out` in place.
     ///
     /// # Errors
@@ -246,8 +251,8 @@ pub trait Block: Send + std::any::Any {
         Ok(())
     }
 
-    /// Hook called once after the final chunk of a streaming pass.
-    /// Instruments finalize whole-pass measurements here.
+    /// Hook called once after the final chunk of every pass, batch or
+    /// streaming. Instruments finalize whole-pass measurements here.
     ///
     /// # Errors
     ///
@@ -280,6 +285,27 @@ pub trait Block: Send + std::any::Any {
             message: "block does not support chunked streaming".into(),
         })
     }
+}
+
+/// Runs one whole pass of `block` as a single chunk:
+/// [`Block::begin_stream`], one [`Block::process_chunk`] over `inputs`,
+/// then [`Block::end_stream`]. Returns the pass output.
+///
+/// Every block with a chunk kernel implements [`Block::process`] as this
+/// call, so its batch and chunked paths are one kernel and agree by
+/// construction. A block must override `process_chunk` before using
+/// it: the default adapter calls `process`, which would recurse forever.
+///
+/// # Errors
+///
+/// Whatever `process_chunk` or `end_stream` returns.
+pub fn whole_pass<B: Block + ?Sized>(block: &mut B, inputs: &[Signal]) -> Result<Signal, SimError> {
+    let inputs: Vec<&Signal> = inputs.iter().collect();
+    let mut out = Signal::default();
+    block.begin_stream();
+    block.process_chunk(&inputs, &mut out)?;
+    block.end_stream()?;
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! batch pass) and seed-deterministic, so million-point sweeps shard across
 //! workers and resume from checkpoints without changing a single sample.
 
-use crate::block::{Block, SimError};
+use crate::block::{whole_pass, Block, SimError};
 use crate::signal::Signal;
 use crate::supervise::BlockRole;
 use ofdm_dsp::fir::FirFilter;
@@ -24,6 +24,18 @@ fn gaussian_pair(rng: &mut StdRng) -> (f64, f64) {
     let u2: f64 = rng.gen();
     let r = (-2.0 * u1.ln()).sqrt();
     (r * (TAU * u2).cos(), r * (TAU * u2).sin())
+}
+
+/// Rolls a delay line forward over one chunk of input: afterwards `hist`
+/// holds the last `hist.len()` samples of everything fed so far.
+fn roll_history<T: Copy>(hist: &mut [T], x: &[T]) {
+    let len = hist.len();
+    if x.len() >= len {
+        hist.copy_from_slice(&x[x.len() - len..]);
+    } else {
+        hist.rotate_left(x.len());
+        hist[len - x.len()..].copy_from_slice(x);
+    }
 }
 
 /// Additive white Gaussian noise at a specified SNR relative to the input's
@@ -105,27 +117,7 @@ impl Block for AwgnChannel {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let sig_pow = match self.reference_power {
-            Some(p) => p,
-            None => {
-                let p = s.power();
-                if p == 0.0 {
-                    return Ok(s);
-                }
-                p
-            }
-        };
-        let sigma = self.sigma(sig_pow); // per real dimension
-
-        // Sequential loop: the RNG draw order defines the noise sequence.
-        let (re, im) = s.parts_mut();
-        for (r, i) in re.iter_mut().zip(im.iter_mut()) {
-            let (gr, gi) = gaussian_pair(&mut self.rng);
-            *r += sigma * gr;
-            *i += sigma * gi;
-        }
-        Ok(s)
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -133,8 +125,8 @@ impl Block for AwgnChannel {
         let sig_pow = match self.reference_power {
             Some(p) => p,
             None => {
-                // No reference: fall back to per-chunk measurement (same
-                // behavior as the default clone adapter, without the alloc).
+                // No reference: measure this chunk (the whole pass in a
+                // batch pass), so σ depends on the chunking.
                 let p = out.power();
                 if p == 0.0 {
                     return Ok(());
@@ -212,16 +204,7 @@ impl Block for MultipathChannel {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let x = inputs[0].samples();
-        let mut y = vec![Complex64::ZERO; x.len()];
-        for (n, out) in y.iter_mut().enumerate() {
-            for (k, &h) in self.taps.iter().enumerate() {
-                if n >= k {
-                    *out += h * x[n - k];
-                }
-            }
-        }
-        Ok(Signal::new(y, inputs[0].sample_rate()))
+        whole_pass(self, inputs)
     }
 
     fn begin_stream(&mut self) {
@@ -243,8 +226,7 @@ impl Block for MultipathChannel {
             let mut acc = Complex64::ZERO;
             for (k, &h) in self.taps.iter().enumerate() {
                 // Samples before the chunk start come from the carried
-                // history; at pass start those are exact zeros, so the sum
-                // matches the batch convolution term for term.
+                // history, which holds exact zeros at pass start.
                 let s = if n >= k {
                     x[n - k]
                 } else {
@@ -254,15 +236,7 @@ impl Block for MultipathChannel {
             }
             out.push(acc);
         }
-        if hist > 0 {
-            if x.len() >= hist {
-                self.history.copy_from_slice(&x[x.len() - hist..]);
-            } else {
-                self.history.rotate_left(x.len());
-                let keep = hist - x.len();
-                self.history[keep..].copy_from_slice(&x);
-            }
-        }
+        roll_history(&mut self.history, &x);
         Ok(())
     }
 
@@ -383,9 +357,9 @@ pub struct FadingTap {
 /// adds a deterministic line-of-sight ray at the maximum Doppler shift.
 /// All tap gains are *functions of the absolute sample index*, not of
 /// per-sample random draws — which is what makes the block chunking
-/// invariant: the streaming path only has to carry the absolute time
+/// invariant: the chunk kernel only has to carry the absolute time
 /// counter and the delay-line history across chunks to reproduce the
-/// batch convolution bit for bit.
+/// whole-pass convolution bit for bit.
 ///
 /// # Example
 ///
@@ -577,56 +551,6 @@ impl FadingChannel {
         self.hist_re.resize(hist, 0.0);
         self.hist_im.resize(hist, 0.0);
     }
-
-    /// The shared per-sample core of the batch and chunked paths: applies
-    /// the time-varying tapped delay line to `(x_re, x_im)` starting at
-    /// absolute sample `t0`, reading pre-chunk samples from
-    /// `(hist_re, hist_im)`, appending into `out`, and rolling the history
-    /// forward. Both entry points run exactly this code, so chunked output
-    /// is bit-identical to batch by construction.
-    #[allow(clippy::too_many_arguments)]
-    fn apply(
-        taps: &[FadingTap],
-        gain_of: impl Fn(usize, u64) -> Complex64,
-        t0: u64,
-        x_re: &[f64],
-        x_im: &[f64],
-        hist_re: &mut [f64],
-        hist_im: &mut [f64],
-        out: &mut Signal,
-    ) {
-        let hist = hist_re.len();
-        for n in 0..x_re.len() {
-            let t = t0 + n as u64;
-            let mut acc_re = 0.0;
-            let mut acc_im = 0.0;
-            for (p, tap) in taps.iter().enumerate() {
-                let g = gain_of(p, t);
-                let (sr, si) = if n >= tap.delay {
-                    (x_re[n - tap.delay], x_im[n - tap.delay])
-                } else {
-                    let idx = hist - (tap.delay - n);
-                    (hist_re[idx], hist_im[idx])
-                };
-                acc_re += g.re * sr - g.im * si;
-                acc_im += g.re * si + g.im * sr;
-            }
-            out.push(Complex64::new(acc_re, acc_im));
-        }
-        // Roll the delay line forward over this chunk's input.
-        if hist > 0 {
-            if x_re.len() >= hist {
-                hist_re.copy_from_slice(&x_re[x_re.len() - hist..]);
-                hist_im.copy_from_slice(&x_im[x_im.len() - hist..]);
-            } else {
-                hist_re.rotate_left(x_re.len());
-                hist_im.rotate_left(x_im.len());
-                let keep = hist - x_re.len();
-                hist_re[keep..].copy_from_slice(x_re);
-                hist_im[keep..].copy_from_slice(x_im);
-            }
-        }
-    }
 }
 
 impl Block for FadingChannel {
@@ -639,12 +563,7 @@ impl Block for FadingChannel {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        // Batch is one maximal chunk over a freshly zeroed delay line —
-        // literally the chunked path, so the two agree bit for bit.
-        self.arm_history();
-        let mut out = Signal::empty(inputs[0].sample_rate());
-        self.process_chunk(&[&inputs[0]], &mut out)?;
-        Ok(out)
+        whole_pass(self, inputs)
     }
 
     fn begin_stream(&mut self) {
@@ -660,20 +579,28 @@ impl Block for FadingChannel {
         let fs = inputs[0].sample_rate();
         out.clear();
         out.set_sample_rate(fs);
-        let taps = &self.taps;
-        let oscillators = &self.oscillators;
-        let los_phase = &self.los_phase;
-        let doppler_hz = self.doppler_hz;
-        Self::apply(
-            taps,
-            |p, t| Self::tap_gain(&taps[p], &oscillators[p], los_phase[p], doppler_hz, t, fs),
-            self.t,
-            x_re,
-            x_im,
-            &mut self.hist_re,
-            &mut self.hist_im,
-            out,
-        );
+        let hist = self.hist_re.len();
+        for n in 0..x_re.len() {
+            let t = self.t + n as u64;
+            let mut acc_re = 0.0;
+            let mut acc_im = 0.0;
+            for (p, tap) in self.taps.iter().enumerate() {
+                let g = self.gain_at(p, t, fs);
+                // Samples before the chunk start come from the delay line,
+                // which holds exact zeros at pass start.
+                let (sr, si) = if n >= tap.delay {
+                    (x_re[n - tap.delay], x_im[n - tap.delay])
+                } else {
+                    let idx = hist - (tap.delay - n);
+                    (self.hist_re[idx], self.hist_im[idx])
+                };
+                acc_re += g.re * sr - g.im * si;
+                acc_im += g.re * si + g.im * sr;
+            }
+            out.push(Complex64::new(acc_re, acc_im));
+        }
+        roll_history(&mut self.hist_re, x_re);
+        roll_history(&mut self.hist_im, x_im);
         self.t += x_re.len() as u64;
         Ok(())
     }
@@ -742,12 +669,7 @@ impl Block for CfoChannel {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let fs = s.sample_rate();
-        let (re, im) = s.parts_mut();
-        self.rotate(re, im, fs);
-        self.t += s.len() as u64;
-        Ok(s)
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -830,11 +752,7 @@ impl Block for PhaseNoiseChannel {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let fs = s.sample_rate();
-        let (re, im) = s.parts_mut();
-        self.walk(re, im, fs);
-        Ok(s)
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

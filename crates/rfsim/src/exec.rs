@@ -30,20 +30,21 @@
 //!     .with_telemetry(true)
 //!     .guard_non_finite(true);
 //! let report = g.execute(&plan)?.expect("telemetry was requested");
-//! assert_eq!(report.mode, RunMode::Streaming { chunk_len: 64 });
+//! assert_eq!(report.mode, ExecMode::Streaming { chunk_len: 64 });
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::supervise::{BreakerPolicy, BreakerState, CancelToken, Health};
-use crate::telemetry::{RunMode, RunReport};
+use crate::telemetry::RunReport;
 use std::time::Duration;
 
-/// How one execution moves samples through the graph.
+/// How one execution moves samples through the graph. Both modes run the
+/// same chunked scheduler loop; they differ in the chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Whole-pass evaluation: each block processes the entire pass at once
-    /// and every node's output is retained. Peak memory is
+    /// Whole-pass evaluation: every source is evaluated once and the pass
+    /// is one chunk, and every node's output is retained. Peak memory is
     /// O(pass length × nodes).
     #[default]
     Batch,
@@ -55,15 +56,6 @@ pub enum ExecMode {
         /// [`SimError::InvalidChunkLen`](crate::SimError::InvalidChunkLen).
         chunk_len: usize,
     },
-}
-
-impl From<ExecMode> for RunMode {
-    fn from(mode: ExecMode) -> Self {
-        match mode {
-            ExecMode::Batch => RunMode::Batch,
-            ExecMode::Streaming { chunk_len } => RunMode::Streaming { chunk_len },
-        }
-    }
 }
 
 /// A complete description of one graph execution: the mode plus every
@@ -299,15 +291,6 @@ mod tests {
         assert!(plan.cancel_token().is_none());
         assert!(plan.breaker_policy().is_none());
         assert_eq!(ExecPlan::batch().mode(), ExecPlan::default().mode());
-    }
-
-    #[test]
-    fn exec_mode_maps_onto_run_mode() {
-        assert_eq!(RunMode::from(ExecMode::Batch), RunMode::Batch);
-        assert_eq!(
-            RunMode::from(ExecMode::Streaming { chunk_len: 7 }),
-            RunMode::Streaming { chunk_len: 7 }
-        );
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! # }
 //! ```
 
-use crate::block::{Block, SimError};
+use crate::block::{whole_pass, Block, SimError};
 use crate::signal::Signal;
 use crate::supervise::BlockRole;
 use ofdm_dsp::Complex64;
@@ -125,9 +125,7 @@ impl Block for SampleDropper {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        self.corrupt(&mut s);
-        Ok(s)
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -201,9 +199,7 @@ impl Block for NanInjector {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        self.corrupt(&mut s);
-        Ok(s)
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -288,9 +284,7 @@ impl Block for ClockDriftJitter {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        self.corrupt(&mut s);
-        Ok(s)
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

@@ -4,7 +4,7 @@
 //! filters of the RF lineup as a cascade of bilinear-transformed biquads;
 //! [`FirBlock`] adapts any [`ofdm_dsp::fir`] design into the graph.
 
-use crate::block::{Block, SimError};
+use crate::block::{whole_pass, Block, SimError};
 use crate::signal::Signal;
 use ofdm_dsp::fir::FirFilter;
 use ofdm_dsp::Complex64;
@@ -37,15 +37,11 @@ impl Block for FirBlock {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        Ok(Signal::new(
-            self.filter.process(&inputs[0].samples()),
-            inputs[0].sample_rate(),
-        ))
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
-        // The delay line carries across chunks exactly as it does across
-        // batch passes, so chunk-sequential output equals one batch call.
+        // The delay line carries across chunks and passes alike.
         self.filter
             .process_into(&inputs[0].samples(), &mut self.scratch);
         out.assign(&self.scratch, inputs[0].sample_rate());
@@ -183,28 +179,7 @@ impl Block for ButterworthLowpass {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let fs = inputs[0].sample_rate();
-        if self.cutoff_hz >= fs / 2.0 {
-            return Err(SimError::BlockFailure {
-                block: "butterworth-lowpass".into(),
-                message: format!(
-                    "cutoff {} Hz is not below Nyquist for {} Hz sampling",
-                    self.cutoff_hz, fs
-                ),
-            });
-        }
-        if (self.designed_rate - fs).abs() > 1e-9 {
-            self.design(fs);
-        }
-        let mut out = Vec::with_capacity(inputs[0].len());
-        for x in inputs[0].iter() {
-            let mut y = x;
-            for s in self.sections.iter_mut() {
-                y = s.process(y);
-            }
-            out.push(y);
-        }
-        Ok(Signal::new(out, fs))
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

@@ -4,16 +4,18 @@
 //! one simulation pass in dependency order. There is exactly one scheduler:
 //! [`Graph::execute`] interprets an [`ExecPlan`] describing the pass — its
 //! mode plus every feature toggle (telemetry, non-finite guard, deadline
-//! budget, cancellation, circuit breakers). Two modes exist:
+//! budget, cancellation, circuit breakers). Every pass moves samples
+//! through per-edge buffers in chunks, bracketed by
+//! [`Block::begin_stream`]/[`Block::end_stream`] so instruments accumulate
+//! across chunks and finalize at the end. The two modes differ only in
+//! the chunk:
 //!
-//! * [`ExecMode::Batch`] — each block processes the whole pass at once and
-//!   every node's output is retained for inspection, like probing all
-//!   nodes of an RF schematic. Peak memory is O(pass length × nodes).
-//! * [`ExecMode::Streaming`] — samples move through the graph in bounded
-//!   chunks through per-edge buffers that are reused from chunk to chunk,
-//!   so peak memory is O(chunk length × nodes). Node outputs are retained
-//!   only for nodes opted in via [`Graph::probe`]; instruments accumulate
-//!   across chunks and finalize in [`Block::end_stream`].
+//! * [`ExecMode::Streaming`] — bounded chunks through buffers reused from
+//!   chunk to chunk, so peak memory is O(chunk length × nodes). Node
+//!   outputs are retained only for nodes opted in via [`Graph::probe`].
+//! * [`ExecMode::Batch`] — one cached whole-pass chunk, and every node's
+//!   output is retained for inspection, like probing all nodes of an RF
+//!   schematic. Peak memory is O(pass length × nodes).
 //!
 //! The graph stores structure (blocks, wiring, probe markings) and the
 //! runtime state of its most recent pass (health, circuit-breaker states);
@@ -34,19 +36,18 @@ struct Node {
     /// `inputs[port] = Some(source)` once connected.
     inputs: Vec<Option<BlockId>>,
     output: Option<Signal>,
-    /// Retain this node's output during streaming runs.
+    /// Retain this node's output during streaming passes.
     probed: bool,
 }
 
 /// How a source node is fed during one execution.
 enum Feed {
-    /// Batch pass: the source evaluates its whole pass in one invocation.
-    Whole,
     /// Streaming pass: the source emits chunks itself
     /// ([`Block::stream_chunk`]).
     Stream,
-    /// Streaming pass, batch-only source: evaluated once up front, then
-    /// sliced into chunks.
+    /// Batch pass, or a streaming pass over a batch-only source: the
+    /// whole pass is evaluated once up front, then handed out a chunk
+    /// per round.
     Cached { signal: Signal, pos: usize },
 }
 
@@ -161,15 +162,17 @@ impl Graph {
     /// round pushes the chunks through the graph in dependency order via
     /// [`Block::process_chunk`] into per-edge buffers that are reused
     /// between chunks, and the pass ends when every source is exhausted.
-    /// [`Block::begin_stream`]/[`Block::end_stream`] bracket the pass so
+    /// A batch pass ([`ExecMode::Batch`]) evaluates every source once and
+    /// runs one round with the whole pass as its chunk.
+    /// [`Block::begin_stream`]/[`Block::end_stream`] bracket either pass so
     /// instruments can accumulate whole-pass measurements.
     ///
     /// For chunk-sequential blocks (every block shipped with this crate),
     /// the concatenated chunk stream at a node equals the batch output
-    /// sample for sample. Blocks that measure whole-pass statistics inside
-    /// `process` (e.g. a noise channel deriving σ from measured input
-    /// power) only match batch output if configured with a fixed
-    /// reference instead (see `AwgnChannel::with_reference_power`). With
+    /// sample for sample. Blocks that measure statistics of each chunk
+    /// (e.g. a noise channel deriving σ from measured input power) only
+    /// match batch output if configured with a fixed reference instead
+    /// (see `AwgnChannel::with_reference_power`). With
     /// multiple sources of unequal pass lengths, exhausted sources
     /// contribute empty chunks while the rest finish; blocks must tolerate
     /// shorter/empty inputs in that case.
@@ -205,7 +208,7 @@ impl Graph {
             return Ok(None);
         };
         let mut report = recorder.finish(
-            plan.mode().into(),
+            plan.mode(),
             self.nodes.iter().map(|n| n.block.name().to_owned()),
         );
         self.stamp_supervision(&mut report);
@@ -222,25 +225,21 @@ impl Graph {
 
     /// The one scheduler loop: every mode and feature combination flows
     /// through here. Each round pulls one chunk from every source, then
-    /// pushes the chunks through the interior blocks in dependency order.
-    /// A batch pass is the degenerate single round — each source
-    /// contributes its whole pass as its one "chunk", interior outputs are
-    /// stored on the nodes instead of per-edge buffers, and the loop ends
-    /// after one push. A streaming pass repeats rounds until every source
-    /// is exhausted.
+    /// pushes the chunks through the interior blocks in dependency order
+    /// via [`Block::process_chunk`]. A streaming pass repeats rounds until
+    /// every source is exhausted. A batch pass is the same loop with three
+    /// settings: every source is cached (one [`Block::process`] call), the
+    /// chunk is the whole pass and exactly one round runs, and afterwards
+    /// every edge buffer moves onto its node as the retained output.
     fn execute_core(
         &mut self,
         plan: &ExecPlan,
         mut telemetry: Option<&mut Recorder>,
     ) -> Result<(), SimError> {
-        let chunk = match plan.mode() {
-            ExecMode::Batch => None,
-            ExecMode::Streaming { chunk_len } => {
-                if chunk_len == 0 {
-                    return Err(SimError::InvalidChunkLen);
-                }
-                Some(chunk_len)
-            }
+        let (chunk_len, whole_pass) = match plan.mode() {
+            ExecMode::Batch => (usize::MAX, true),
+            ExecMode::Streaming { chunk_len: 0 } => return Err(SimError::InvalidChunkLen),
+            ExecMode::Streaming { chunk_len } => (chunk_len, false),
         };
         let deadline = self.begin_run(plan);
         // Verify all ports are driven.
@@ -257,92 +256,60 @@ impl Graph {
         let order = self.topological_order()?;
         let n = self.nodes.len();
 
-        if chunk.is_some() {
-            for node in &mut self.nodes {
-                node.output = None;
-                node.block.begin_stream();
-            }
+        for node in &mut self.nodes {
+            node.output = None;
+            node.block.begin_stream();
         }
 
         let mut feeds: Vec<Option<Feed>> = Vec::with_capacity(n);
         for i in 0..n {
             feeds.push(if !self.nodes[i].inputs.is_empty() {
                 None
-            } else if chunk.is_none() {
-                Some(Feed::Whole)
-            } else if self.nodes[i].block.supports_streaming() {
+            } else if !whole_pass && self.nodes[i].block.supports_streaming() {
                 Some(Feed::Stream)
             } else {
-                // Batch-only source: the one up-front evaluation is the
-                // block's whole cost for the pass.
+                // The one up-front evaluation is the source's whole cost
+                // for the pass.
                 self.check_supervision(plan, i, deadline.as_ref())?;
-                let signal = self.invoke_batch(plan, i, &[], telemetry.as_deref_mut())?;
+                let mut signal = Signal::default();
+                self.pull_source(plan, i, None, &mut signal, telemetry.as_deref_mut())?;
                 Some(Feed::Cached { signal, pos: 0 })
             });
         }
 
         // Per-edge chunk buffers, reused across rounds: after the first
         // round each holds its warm allocation and no further growth
-        // happens for constant chunk sizes. Batch passes store whole
-        // outputs on the nodes instead and leave these empty.
+        // happens for constant chunk sizes.
         let mut bufs: Vec<Signal> = (0..n).map(|_| Signal::default()).collect();
 
         loop {
-            // Pull one chunk from every source — the whole pass at once in
-            // batch mode, where the single round is always "producing".
-            let mut produced = chunk.is_none();
+            // Pull one chunk from every source. A batch pass's single
+            // round runs even when every source is empty.
+            let mut produced = whole_pass;
             for (i, feed) in feeds.iter_mut().enumerate() {
                 let Some(feed) = feed else { continue };
-                match feed {
-                    Feed::Whole => {
-                        self.check_supervision(plan, i, deadline.as_ref())?;
-                        let out = self.invoke_batch(plan, i, &[], telemetry.as_deref_mut())?;
-                        if let Some(t) = telemetry.as_deref_mut() {
-                            t.note_buffer(i, out.len());
-                        }
-                        self.nodes[i].output = Some(out);
-                    }
+                let got = match feed {
                     Feed::Stream => {
-                        let chunk_len = chunk.expect("stream feeds exist only when streaming");
                         self.check_supervision(plan, i, deadline.as_ref())?;
-                        self.source_fail_fast(plan, i)?;
-                        let pulled = match telemetry.as_deref_mut() {
-                            Some(t) => {
-                                let begin = t.begin();
-                                let r = self.nodes[i].block.stream_chunk(chunk_len, &mut bufs[i]);
-                                if let Ok(got) = r {
-                                    t.record(i, begin, 0, got);
-                                }
-                                r
-                            }
-                            None => self.nodes[i].block.stream_chunk(chunk_len, &mut bufs[i]),
-                        };
-                        let pulled = pulled
-                            .and_then(|got| self.check_finite(plan, i, &bufs[i]).map(|()| got));
-                        match pulled {
-                            Ok(got) => {
-                                self.note_source_result(plan, i, false);
-                                produced |= got > 0;
-                            }
-                            Err(e) => {
-                                self.note_source_result(plan, i, true);
-                                return Err(e);
-                            }
-                        }
-                        if let Some(t) = telemetry.as_deref_mut() {
-                            t.note_buffer(i, bufs[i].len());
-                        }
+                        let out = &mut bufs[i];
+                        self.pull_source(plan, i, Some(chunk_len), out, telemetry.as_deref_mut())?
                     }
                     Feed::Cached { signal, pos } => {
-                        let chunk_len = chunk.expect("cached feeds exist only when streaming");
                         let take = chunk_len.min(signal.len() - *pos);
-                        bufs[i].assign(&signal.samples()[*pos..*pos + take], signal.sample_rate());
-                        *pos += take;
-                        produced |= take > 0;
-                        if let Some(t) = telemetry.as_deref_mut() {
-                            t.note_buffer(i, bufs[i].len());
+                        if take == signal.len() {
+                            // The chunk is the whole cached pass: move it.
+                            let rest = Signal::empty(signal.sample_rate());
+                            bufs[i] = std::mem::replace(signal, rest);
+                        } else {
+                            bufs[i].assign_range(signal, *pos, take);
+                            *pos += take;
                         }
+                        take
                     }
+                };
+                produced |= got > 0;
+                if let Some(t) = telemetry.as_deref_mut() {
+                    t.note_buffer(i, bufs[i].len());
                 }
             }
             if !produced {
@@ -355,49 +322,31 @@ impl Graph {
             // Push the chunks through the interior of the graph.
             for &BlockId(i) in &order {
                 if self.nodes[i].inputs.is_empty() {
-                    if chunk.is_some() {
-                        accumulate_probe(&mut self.nodes[i], &bufs[i]);
-                    }
                     continue;
                 }
                 self.check_supervision(plan, i, deadline.as_ref())?;
-                if chunk.is_some() {
-                    let mut out = std::mem::take(&mut bufs[i]);
-                    self.invoke_stream(plan, i, &bufs, &mut out, telemetry.as_deref_mut())?;
-                    accumulate_probe(&mut self.nodes[i], &out);
-                    if let Some(t) = telemetry.as_deref_mut() {
-                        t.note_buffer(i, out.len());
-                    }
-                    bufs[i] = out;
-                } else {
-                    let inputs: Vec<Signal> = self.nodes[i]
-                        .inputs
-                        .clone()
-                        .into_iter()
-                        .map(|src| {
-                            self.nodes[src.expect("verified above").0]
-                                .output
-                                .clone()
-                                .expect("dependency order guarantees the source ran")
-                        })
-                        .collect();
-                    let out = self.invoke_batch(plan, i, &inputs, telemetry.as_deref_mut())?;
-                    if let Some(t) = telemetry.as_deref_mut() {
-                        t.note_buffer(i, out.len());
-                    }
-                    self.nodes[i].output = Some(out);
+                let mut out = std::mem::take(&mut bufs[i]);
+                self.invoke(plan, i, &bufs, &mut out, telemetry.as_deref_mut())?;
+                if let Some(t) = telemetry.as_deref_mut() {
+                    t.note_buffer(i, out.len());
                 }
+                bufs[i] = out;
             }
 
-            if chunk.is_none() {
+            if whole_pass {
+                // Batch retains every node's output: the buffers move out.
+                for (node, buf) in self.nodes.iter_mut().zip(bufs.drain(..)) {
+                    node.output = Some(buf);
+                }
                 break;
+            }
+            for (node, buf) in self.nodes.iter_mut().zip(&bufs) {
+                accumulate_probe(node, buf);
             }
         }
 
-        if chunk.is_some() {
-            for node in &mut self.nodes {
-                node.block.end_stream()?;
-            }
+        for node in &mut self.nodes {
+            node.block.end_stream()?;
         }
         Ok(())
     }
@@ -463,68 +412,6 @@ impl Graph {
         self.state.health.degrade();
         if let Some(t) = telemetry {
             t.note_bypass(i);
-        }
-    }
-
-    /// One batch invocation of node `i`, honoring the plan's breaker
-    /// policy if enabled (finite-guard hits count as block failures).
-    fn invoke_batch(
-        &mut self,
-        plan: &ExecPlan,
-        i: usize,
-        inputs: &[Signal],
-        mut telemetry: Option<&mut Recorder>,
-    ) -> Result<Signal, SimError> {
-        let Some(policy) = plan.breaker_policy() else {
-            let out = self.invoke_batch_raw(i, inputs, telemetry)?;
-            self.check_finite(plan, i, &out)?;
-            return Ok(out);
-        };
-        if !self.breaker_admits(i, &policy)? {
-            self.note_bypass(i, telemetry);
-            return Ok(inputs.first().cloned().unwrap_or_default());
-        }
-        let mut attempt = self.invoke_batch_raw(i, inputs, telemetry.as_deref_mut());
-        if let Ok(out) = &attempt {
-            if let Err(e) = self.check_finite(plan, i, out) {
-                attempt = Err(e);
-            }
-        }
-        match attempt {
-            Ok(out) => {
-                self.state.breakers[i].record_success();
-                Ok(out)
-            }
-            Err(e) => {
-                if self.state.breakers[i].record_failure(&policy) {
-                    self.state.breaker_trips += 1;
-                }
-                if self.bypassable(i) {
-                    self.note_bypass(i, telemetry);
-                    Ok(inputs.first().cloned().unwrap_or_default())
-                } else {
-                    Err(e)
-                }
-            }
-        }
-    }
-
-    /// The raw (breaker-unaware) batch invocation of node `i`.
-    fn invoke_batch_raw(
-        &mut self,
-        i: usize,
-        inputs: &[Signal],
-        telemetry: Option<&mut Recorder>,
-    ) -> Result<Signal, SimError> {
-        match telemetry {
-            Some(t) => {
-                let samples_in: usize = inputs.iter().map(Signal::len).sum();
-                let begin = t.begin();
-                let out = self.nodes[i].block.process(inputs)?;
-                t.record(i, begin, samples_in, out.len());
-                Ok(out)
-            }
-            None => self.nodes[i].block.process(inputs),
         }
     }
 
@@ -594,39 +481,51 @@ impl Graph {
         self.state.last_report.as_ref()
     }
 
-    /// Breaker fail-fast for streaming source pulls (sources are never
-    /// bypassable).
-    fn source_fail_fast(&mut self, plan: &ExecPlan, i: usize) -> Result<(), SimError> {
-        if let Some(policy) = plan.breaker_policy() {
-            if self.state.breakers[i].is_open() {
-                return Err(SimError::BlockFault {
-                    block: self.nodes[i].block.name().to_owned(),
-                    fault: format!(
-                        "circuit breaker open after {} failure(s)",
-                        policy.threshold()
-                    ),
-                });
-            }
+    /// One evaluation of source `i` into `out`, returning the samples it
+    /// produced: its whole pass through [`Block::process`] (`chunk` is
+    /// `None`) or its next chunk of at most `chunk` samples through
+    /// [`Block::stream_chunk`]. Sources are never bypassable, so under a
+    /// breaker policy an open breaker fails fast, and a failure (a
+    /// finite-guard hit included) feeds the breaker and propagates.
+    fn pull_source(
+        &mut self,
+        plan: &ExecPlan,
+        i: usize,
+        chunk: Option<usize>,
+        out: &mut Signal,
+        telemetry: Option<&mut Recorder>,
+    ) -> Result<usize, SimError> {
+        let policy = plan.breaker_policy();
+        if let Some(policy) = &policy {
+            // Never bypassable: admitted, or failed fast when open.
+            self.breaker_admits(i, policy)?;
         }
-        Ok(())
-    }
-
-    /// Breaker accounting for one streaming source pull.
-    fn note_source_result(&mut self, plan: &ExecPlan, i: usize, failed: bool) {
-        if let Some(policy) = plan.breaker_policy() {
-            if failed {
-                if self.state.breakers[i].record_failure(&policy) {
-                    self.state.breaker_trips += 1;
-                }
-            } else {
+        let begin = telemetry.as_ref().map(|t| t.begin());
+        let block = &mut self.nodes[i].block;
+        let pulled = match chunk {
+            Some(max) => block.stream_chunk(max, out),
+            None => block.process(&[]).map(|whole| {
+                *out = whole;
+                out.len()
+            }),
+        };
+        if let (Some(t), Some(begin), Ok(got)) = (telemetry, begin, &pulled) {
+            t.record(i, begin, 0, *got);
+        }
+        let pulled = pulled.and_then(|got| self.check_finite(plan, i, out).map(|()| got));
+        if let Some(policy) = &policy {
+            if pulled.is_ok() {
                 self.state.breakers[i].record_success();
+            } else if self.state.breakers[i].record_failure(policy) {
+                self.state.breaker_trips += 1;
             }
         }
+        pulled
     }
 
     /// One interior-block chunk invocation, honoring the plan's breaker
     /// policy if enabled (finite-guard hits count as block failures).
-    fn invoke_stream(
+    fn invoke(
         &mut self,
         plan: &ExecPlan,
         i: usize,
@@ -635,15 +534,15 @@ impl Graph {
         mut telemetry: Option<&mut Recorder>,
     ) -> Result<(), SimError> {
         let Some(policy) = plan.breaker_policy() else {
-            self.invoke_stream_raw(i, bufs, out, telemetry)?;
+            self.invoke_raw(i, bufs, out, telemetry)?;
             self.check_finite(plan, i, out)?;
             return Ok(());
         };
         if !self.breaker_admits(i, &policy)? {
-            self.bypass_stream(i, bufs, out, telemetry);
+            self.bypass(i, bufs, out, telemetry);
             return Ok(());
         }
-        let mut attempt = self.invoke_stream_raw(i, bufs, out, telemetry.as_deref_mut());
+        let mut attempt = self.invoke_raw(i, bufs, out, telemetry.as_deref_mut());
         if attempt.is_ok() {
             if let Err(e) = self.check_finite(plan, i, out) {
                 attempt = Err(e);
@@ -659,7 +558,7 @@ impl Graph {
                     self.state.breaker_trips += 1;
                 }
                 if self.bypassable(i) {
-                    self.bypass_stream(i, bufs, out, telemetry);
+                    self.bypass(i, bufs, out, telemetry);
                     Ok(())
                 } else {
                     Err(e)
@@ -669,7 +568,7 @@ impl Graph {
     }
 
     /// The raw (breaker-unaware) chunk invocation of node `i`.
-    fn invoke_stream_raw(
+    fn invoke_raw(
         &mut self,
         i: usize,
         bufs: &[Signal],
@@ -696,7 +595,7 @@ impl Graph {
 
     /// Skips node `i` pass-through for one chunk: `out` becomes a copy of
     /// the block's single input chunk.
-    fn bypass_stream(
+    fn bypass(
         &mut self,
         i: usize,
         bufs: &[Signal],
@@ -1174,7 +1073,7 @@ mod tests {
             .execute(&ExecPlan::batch().with_telemetry(true))
             .unwrap()
             .unwrap();
-        assert_eq!(report.mode, crate::telemetry::RunMode::Batch);
+        assert_eq!(report.mode, ExecMode::Batch);
         assert_eq!(report.rounds, 1);
         assert_eq!(report.blocks.len(), 2);
         let src = report.block("const").unwrap();
@@ -1203,10 +1102,7 @@ mod tests {
             .execute(&ExecPlan::streaming(16).with_telemetry(true))
             .unwrap()
             .unwrap();
-        assert_eq!(
-            report.mode,
-            crate::telemetry::RunMode::Streaming { chunk_len: 16 }
-        );
+        assert_eq!(report.mode, ExecMode::Streaming { chunk_len: 16 });
         // 100 samples in 16-sample chunks → 7 producing rounds.
         assert_eq!(report.rounds, 7);
         let src_stats = report.block("ramp").unwrap();

@@ -5,7 +5,7 @@
 //! back with [`crate::Graph::block`] and read the result — like placing a
 //! probe on an RF schematic node.
 
-use crate::block::{Block, SimError};
+use crate::block::{whole_pass, Block, SimError};
 use crate::signal::Signal;
 use crate::supervise::BlockRole;
 use ofdm_dsp::spectrum::{band_power, WelchPsd};
@@ -15,9 +15,9 @@ use ofdm_dsp::Complex64;
 
 /// Measures mean power (linear and dB) of the signal passing through.
 ///
-/// In a streaming run the meter accumulates `Σ|x|²` chunk by chunk in the
-/// same left-to-right order as [`ofdm_dsp::stats::mean_power`], so the
-/// finalized reading is bit-identical to the batch one.
+/// The meter accumulates `Σ|x|²` chunk by chunk, left to right, and
+/// finalizes in [`Block::end_stream`], so every chunking of a pass gives
+/// the same reading bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct PowerMeter {
     last_power: Option<f64>,
@@ -52,8 +52,7 @@ impl Block for PowerMeter {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        self.last_power = Some(inputs[0].power());
-        Ok(inputs[0].clone())
+        whole_pass(self, inputs)
     }
 
     fn begin_stream(&mut self) {
@@ -89,10 +88,10 @@ impl Block for PowerMeter {
 
 /// A Welch-method spectrum analyzer.
 ///
-/// A PSD estimate needs the whole pass, so in a streaming run the analyzer
-/// buffers every chunk and estimates once in [`Block::end_stream`] — memory
-/// is O(pass length), not O(chunk), for this instrument (probe sparingly on
-/// long runs). The finalized estimate is bit-identical to the batch one.
+/// A PSD estimate needs the whole pass, so the analyzer buffers every
+/// chunk and estimates once in [`Block::end_stream`] — memory is
+/// O(pass length), not O(chunk), for this instrument (probe sparingly on
+/// long runs).
 #[derive(Debug, Clone)]
 pub struct SpectrumAnalyzer {
     psd: WelchPsd,
@@ -194,11 +193,7 @@ impl Block for SpectrumAnalyzer {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        self.last = Some((
-            self.psd.estimate(&inputs[0].samples()),
-            inputs[0].sample_rate(),
-        ));
-        Ok(inputs[0].clone())
+        whole_pass(self, inputs)
     }
 
     fn begin_stream(&mut self) {
@@ -297,9 +292,7 @@ impl Block for AcprMeter {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let out = self.analyzer.process(inputs)?;
-        self.update_from_analyzer();
-        Ok(out)
+        whole_pass(self, inputs)
     }
 
     fn begin_stream(&mut self) {
@@ -390,9 +383,7 @@ impl Block for CcdfProbe {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        self.last = Some(stats::power_ccdf(&inputs[0].samples(), &self.thresholds_db));
-        self.last_papr_db = Some(inputs[0].papr_db());
-        Ok(inputs[0].clone())
+        whole_pass(self, inputs)
     }
 
     fn begin_stream(&mut self) {
@@ -533,9 +524,7 @@ impl Block for MaskChecker {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let out = self.analyzer.process(inputs)?;
-        self.evaluate()?;
-        Ok(out)
+        whole_pass(self, inputs)
     }
 
     fn begin_stream(&mut self) {

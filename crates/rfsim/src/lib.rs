@@ -62,7 +62,7 @@ pub use supervise::{
     BlockRole, BreakerPolicy, BreakerState, CancelToken, CheckpointEntry, CheckpointPayload,
     Deadline, Health, Lease, LeaseReaper, SupervisionReport, SweepCheckpoint, SweepSupervisor,
 };
-pub use telemetry::{BlockStats, FaultReport, Percentiles, RunMode, RunReport, SweepReport};
+pub use telemetry::{BlockStats, FaultReport, Percentiles, RunReport, SweepReport};
 
 /// Convenient glob-import surface for simulator users.
 pub mod prelude {
@@ -93,7 +93,5 @@ pub mod prelude {
         BlockRole, BreakerPolicy, BreakerState, CancelToken, CheckpointEntry, CheckpointPayload,
         Deadline, Health, Lease, LeaseReaper, SupervisionReport, SweepCheckpoint, SweepSupervisor,
     };
-    pub use crate::telemetry::{
-        BlockStats, FaultReport, Percentiles, RunMode, RunReport, SweepReport,
-    };
+    pub use crate::telemetry::{BlockStats, FaultReport, Percentiles, RunReport, SweepReport};
 }

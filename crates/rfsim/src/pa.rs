@@ -13,7 +13,7 @@
 //! retained as the equivalence oracle and the baseline the `simd_speedup`
 //! benchmark measures against.
 
-use crate::block::{Block, SimError};
+use crate::block::{whole_pass, Block, SimError};
 use crate::signal::Signal;
 use ofdm_dsp::{kernels, Complex64};
 
@@ -105,10 +105,7 @@ impl Block for RappPa {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut out = inputs[0].clone();
-        let (re, im) = out.parts_mut();
-        kernels::rapp_apply_split(re, im, self.gain, self.saturation, self.smoothness);
-        Ok(out)
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -196,18 +193,7 @@ impl Block for SalehPa {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut out = inputs[0].clone();
-        let (re, im) = out.parts_mut();
-        kernels::saleh_apply_split(
-            re,
-            im,
-            self.gain,
-            self.alpha_a,
-            self.beta_a,
-            self.alpha_phi,
-            self.beta_phi,
-        );
-        Ok(out)
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -270,10 +256,7 @@ impl Block for SoftClipPa {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut out = inputs[0].clone();
-        let (re, im) = out.parts_mut();
-        kernels::softclip_apply_split(re, im, self.gain, self.clip);
-        Ok(out)
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

@@ -4,7 +4,7 @@
 //! headroom for DAC images and PA regrowth); these blocks adapt rates
 //! inside the graph, keeping the [`crate::Signal`] rate tag consistent.
 
-use crate::block::{Block, SimError};
+use crate::block::{whole_pass, Block, SimError};
 use crate::signal::Signal;
 use ofdm_dsp::resample::Resampler;
 
@@ -124,10 +124,7 @@ impl Block for GainBlock {
     }
 
     fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let (re, im) = s.parts_mut();
-        ofdm_dsp::kernels::scale_split(re, im, self.gain_linear);
-        Ok(s)
+        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

@@ -9,10 +9,11 @@
 //! scheduler and [`crate::Graph::execute`] returns a [`RunReport`]; a
 //! plan with telemetry off pays no recording cost.
 //!
-//! Reports render as a markdown table ([`RunReport::summary`]) or as a
-//! machine-readable JSON document ([`RunReport::to_json`]) for the
-//! `BENCH_*.json` perf trajectory.
+//! Reports render as a markdown table ([`RunReport::summary`]); the
+//! experiment lab is the one place that turns measurements into JSON
+//! documents.
 
+use crate::exec::ExecMode;
 use crate::supervise::{Health, SupervisionReport};
 use serde::json::Value;
 use std::time::Instant;
@@ -58,23 +59,11 @@ impl BlockStats {
     }
 }
 
-/// Which scheduler produced a [`RunReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunMode {
-    /// [`crate::ExecMode::Batch`] — whole-pass evaluation.
-    Batch,
-    /// [`crate::ExecMode::Streaming`] with this chunk length.
-    Streaming {
-        /// The chunk length the pass used.
-        chunk_len: usize,
-    },
-}
-
 /// The result of one instrumented graph pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Scheduler that produced the report.
-    pub mode: RunMode,
+    /// The execution mode of the pass.
+    pub mode: ExecMode,
     /// End-to-end wall time of the pass in nanoseconds (includes scheduler
     /// overhead, not just block time).
     pub total_nanos: u64,
@@ -131,8 +120,8 @@ impl RunReport {
         order.sort_by_key(|b| std::cmp::Reverse(b.nanos));
         let mut out = String::new();
         let mode = match self.mode {
-            RunMode::Batch => "batch".to_owned(),
-            RunMode::Streaming { chunk_len } => format!("streaming(chunk={chunk_len})"),
+            ExecMode::Batch => "batch".to_owned(),
+            ExecMode::Streaming { chunk_len } => format!("streaming(chunk={chunk_len})"),
         };
         let _ = writeln!(
             out,
@@ -170,56 +159,6 @@ impl RunReport {
             );
         }
         out
-    }
-
-    /// The report as a JSON document (see the serde shim's `json` module).
-    pub fn to_json_value(&self) -> Value {
-        let mode = match self.mode {
-            RunMode::Batch => Value::from("batch"),
-            RunMode::Streaming { chunk_len } => Value::Object(vec![
-                ("streaming".into(), Value::from(true)),
-                ("chunk_len".into(), Value::from(chunk_len)),
-            ]),
-        };
-        Value::Object(vec![
-            ("mode".into(), mode),
-            ("total_ns".into(), Value::from(self.total_nanos)),
-            ("rounds".into(), Value::from(self.rounds)),
-            ("health".into(), Value::from(self.health.as_str())),
-            ("breaker_trips".into(), Value::from(self.breaker_trips)),
-            (
-                "bypassed_invocations".into(),
-                Value::from(self.bypassed_invocations),
-            ),
-            (
-                "throughput_msps".into(),
-                Value::from(self.throughput_msps()),
-            ),
-            (
-                "blocks".into(),
-                Value::Array(
-                    self.blocks
-                        .iter()
-                        .map(|b| {
-                            Value::Object(vec![
-                                ("name".into(), Value::from(b.name.as_str())),
-                                ("invocations".into(), Value::from(b.invocations)),
-                                ("ns".into(), Value::from(b.nanos)),
-                                ("samples_in".into(), Value::from(b.samples_in)),
-                                ("samples_out".into(), Value::from(b.samples_out)),
-                                ("buffer_high_water".into(), Value::from(b.buffer_high_water)),
-                                ("bypassed".into(), Value::from(b.bypassed)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// The report serialized as a JSON string.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
     }
 }
 
@@ -291,7 +230,7 @@ impl Recorder {
     /// Finalizes into a [`RunReport`], attaching block names. Supervision
     /// fields start at their healthy defaults; the graph stamps its own
     /// counters afterwards.
-    pub(crate) fn finish(self, mode: RunMode, names: impl Iterator<Item = String>) -> RunReport {
+    pub(crate) fn finish(self, mode: ExecMode, names: impl Iterator<Item = String>) -> RunReport {
         let total_nanos = self.started.elapsed().as_nanos() as u64;
         RunReport {
             mode,
@@ -313,18 +252,6 @@ impl Recorder {
                 })
                 .collect(),
         }
-    }
-}
-
-/// Clamps a ratio to a finite value for JSON emission: NaN becomes 0,
-/// infinities saturate to `±f64::MAX`. The `BENCH_*.json` trajectory is
-/// diffed across commits by tooling that treats non-finite numerics as
-/// corruption, so reports must never emit them.
-pub(crate) fn finite_or_zero(x: f64) -> f64 {
-    if x.is_nan() {
-        0.0
-    } else {
-        x.clamp(f64::MIN, f64::MAX)
     }
 }
 
@@ -484,21 +411,6 @@ impl FaultReport {
             self.errors_caught,
         )
     }
-
-    /// The fault counts as a JSON document.
-    pub fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("succeeded".into(), Value::from(self.succeeded)),
-            ("retried".into(), Value::from(self.retried)),
-            ("faulted".into(), Value::from(self.faulted)),
-            ("panics_caught".into(), Value::from(self.panics_caught)),
-            ("errors_caught".into(), Value::from(self.errors_caught)),
-            (
-                "survival_rate".into(),
-                Value::from(finite_or_zero(self.survival_rate())),
-            ),
-        ])
-    }
 }
 
 /// Aggregates for one scenario sweep
@@ -587,42 +499,6 @@ impl SweepReport {
         }
         line
     }
-
-    /// The sweep aggregates as a JSON document.
-    pub fn to_json_value(&self) -> Value {
-        let mut fields = vec![
-            ("total_ns".into(), Value::from(self.total_nanos)),
-            ("workers".into(), Value::from(self.workers)),
-            ("busy_ns".into(), Value::from(self.busy_nanos())),
-            (
-                "utilization".into(),
-                Value::from(finite_or_zero(self.utilization())),
-            ),
-            (
-                "speedup".into(),
-                Value::from(finite_or_zero(self.speedup())),
-            ),
-            (
-                "scenario_ns".into(),
-                Value::Array(
-                    self.scenario_nanos
-                        .iter()
-                        .map(|&n| Value::from(n))
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(p) = self.duration_percentiles() {
-            fields.push(("scenario_ns_percentiles".into(), p.to_json_value()));
-        }
-        if let Some(f) = &self.faults {
-            fields.push(("faults".into(), f.to_json_value()));
-        }
-        if let Some(s) = &self.supervision {
-            fields.push(("supervision".into(), s.to_json_value()));
-        }
-        Value::Object(fields)
-    }
 }
 
 #[cfg(test)]
@@ -631,7 +507,7 @@ mod tests {
 
     fn report() -> RunReport {
         RunReport {
-            mode: RunMode::Streaming { chunk_len: 80 },
+            mode: ExecMode::Streaming { chunk_len: 80 },
             total_nanos: 2_000_000,
             rounds: 10,
             health: Health::Healthy,
@@ -682,23 +558,12 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrips_through_the_shim_parser() {
-        let r = report();
-        let doc = serde::json::parse(&r.to_json()).expect("valid JSON");
-        assert_eq!(doc.get("rounds").and_then(Value::as_f64), Some(10.0));
-        let blocks = doc.get("blocks").and_then(Value::as_array).expect("array");
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].get("name").and_then(Value::as_str), Some("src"));
-        assert_eq!(blocks[0].get("ns").and_then(Value::as_f64), Some(1.2e6));
-    }
-
-    #[test]
     fn zero_division_guards() {
         let empty = BlockStats::default();
         assert_eq!(empty.nanos_per_invocation(), 0.0);
         assert_eq!(empty.throughput_msps(), 0.0);
         let r = RunReport {
-            mode: RunMode::Batch,
+            mode: ExecMode::Batch,
             total_nanos: 0,
             rounds: 1,
             health: Health::Healthy,
@@ -722,9 +587,6 @@ mod tests {
         assert!((s.utilization() - 0.7).abs() < 1e-12);
         assert!((s.speedup() - 1.4).abs() < 1e-12);
         assert!(s.summary().contains("2 workers"));
-        let doc = serde::json::parse(&s.to_json_value().to_string()).expect("valid");
-        assert_eq!(doc.get("workers").and_then(Value::as_f64), Some(2.0));
-        assert!(doc.get("faults").is_none());
         let degenerate = SweepReport {
             total_nanos: 0,
             workers: 0,
@@ -757,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_report_threads_through_sweep_json_and_summary() {
+    fn fault_report_threads_through_sweep_summary() {
         let s = SweepReport {
             total_nanos: 1_000,
             workers: 1,
@@ -772,21 +634,15 @@ mod tests {
             supervision: None,
         };
         assert!(s.summary().contains("caught 2 panics"), "{}", s.summary());
-        let doc = serde::json::parse(&s.to_json_value().to_string()).expect("valid");
-        let faults = doc.get("faults").expect("faults object");
-        assert_eq!(faults.get("faulted").and_then(Value::as_f64), Some(1.0));
-        assert_eq!(
-            faults.get("panics_caught").and_then(Value::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(
-            faults.get("survival_rate").and_then(Value::as_f64),
-            Some(0.0)
+        assert!(
+            s.summary().contains("1 faulted (0% survival"),
+            "{}",
+            s.summary()
         );
     }
 
     #[test]
-    fn supervision_threads_through_run_report_summary_and_json() {
+    fn supervision_threads_through_run_report_summary() {
         let mut r = report();
         r.health = Health::Degraded;
         r.breaker_trips = 1;
@@ -798,22 +654,14 @@ mod tests {
             s.contains("1 breaker trip(s), 10 invocation(s) bypassed"),
             "{s}"
         );
-        let doc = serde::json::parse(&r.to_json()).expect("valid JSON");
-        assert_eq!(doc.get("health").and_then(Value::as_str), Some("degraded"));
-        assert_eq!(doc.get("breaker_trips").and_then(Value::as_f64), Some(1.0));
-        assert_eq!(
-            doc.get("bypassed_invocations").and_then(Value::as_f64),
-            Some(10.0)
-        );
-        let blocks = doc.get("blocks").and_then(Value::as_array).expect("array");
-        assert_eq!(
-            blocks[1].get("bypassed").and_then(Value::as_f64),
-            Some(10.0)
+        assert!(
+            s.contains("| pa | 10 | 300.0 | 20% | 800 | 800 | 80 | 10 |"),
+            "{s}"
         );
     }
 
     #[test]
-    fn supervision_threads_through_sweep_json_and_summary() {
+    fn supervision_threads_through_sweep_summary() {
         let s = SweepReport {
             total_nanos: 1_000,
             workers: 1,
@@ -824,11 +672,12 @@ mod tests {
                 resumed: 2,
             }),
         };
-        assert!(s.summary().contains("3 deadline kills"), "{}", s.summary());
-        let doc = serde::json::parse(&s.to_json_value().to_string()).expect("valid");
-        let sup = doc.get("supervision").expect("supervision object");
-        assert_eq!(sup.get("deadline_kills").and_then(Value::as_f64), Some(3.0));
-        assert_eq!(sup.get("resumed").and_then(Value::as_f64), Some(2.0));
+        assert!(
+            s.summary()
+                .contains("3 deadline kills, 2 resumed from checkpoint"),
+            "{}",
+            s.summary()
+        );
     }
 
     #[test]
@@ -873,14 +722,9 @@ mod tests {
         let p = s.duration_percentiles().expect("telemetry on");
         assert_eq!(p.count, 4);
         assert!((p.p50 - 2_500_000.0).abs() < 1.0);
+        assert_eq!(p.max, 10_000_000.0);
         assert!(s.summary().contains("p50/p95/p99"), "{}", s.summary());
-        let doc = serde::json::parse(&s.to_json_value().to_string()).expect("valid");
-        let pct = doc
-            .get("scenario_ns_percentiles")
-            .expect("percentiles object");
-        assert_eq!(pct.get("count").and_then(Value::as_f64), Some(4.0));
-        assert_eq!(pct.get("max").and_then(Value::as_f64), Some(10_000_000.0));
-        // Telemetry off (all-zero durations) → no percentiles emitted.
+        // Telemetry off (all-zero durations) → no percentiles reported.
         let off = SweepReport {
             total_nanos: 0,
             workers: 2,
@@ -889,15 +733,6 @@ mod tests {
             supervision: None,
         };
         assert!(off.duration_percentiles().is_none());
-        let doc = serde::json::parse(&off.to_json_value().to_string()).expect("valid");
-        assert!(doc.get("scenario_ns_percentiles").is_none());
-    }
-
-    #[test]
-    fn finite_clamp_never_emits_non_finite() {
-        assert_eq!(finite_or_zero(f64::NAN), 0.0);
-        assert_eq!(finite_or_zero(f64::INFINITY), f64::MAX);
-        assert_eq!(finite_or_zero(f64::NEG_INFINITY), f64::MIN);
-        assert_eq!(finite_or_zero(1.25), 1.25);
+        assert!(!off.summary().contains("p50/p95/p99"), "{}", off.summary());
     }
 }

@@ -143,8 +143,8 @@ fn batch_and_streaming_plans_agree_per_feature_combination() {
                         assert_eq!(g.health(), Health::Healthy, "{label}: health");
                     }
                     if let (Some(a), Some(b)) = (&batch_report, &stream_report) {
-                        assert_eq!(a.mode, RunMode::Batch, "{label}");
-                        assert_eq!(b.mode, RunMode::Streaming { chunk_len }, "{label}");
+                        assert_eq!(a.mode, ExecMode::Batch, "{label}");
+                        assert_eq!(b.mode, ExecMode::Streaming { chunk_len }, "{label}");
                         assert_outcomes_match(a, b, &label);
                     }
                 }

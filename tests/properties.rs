@@ -404,8 +404,8 @@ proptest! {
     }
 }
 
-// The serde shim's JSON writer and parser back every telemetry artifact
-// (`RunReport::to_json`, sweep checkpoints, `BENCH_*.json`), so their
+// The serde shim's JSON writer and parser back every JSON artifact (sweep
+// checkpoints, the service wire protocol, `lab/v1` documents), so their
 // round-trip must be exact: any document the writer emits, the parser
 // reads back structurally identical — including escaped strings, nested
 // containers, and the documented clamp of non-finite numbers to `null`.

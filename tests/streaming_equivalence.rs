@@ -132,3 +132,136 @@ fn parallel_scenario_sweep_reproduces_sequential() {
         assert!((*p - 0.16).abs() < 0.05, "power {p}");
     }
 }
+
+/// Fresh instances of every block whose `process` is one whole-pass chunk
+/// through its streaming kernel.
+fn whole_pass_blocks() -> Vec<Box<dyn Block>> {
+    use ofdm_dsp::Complex64;
+    let mask = vec![
+        MaskPoint {
+            offset_hz: 1.5e6,
+            limit_dbr: -20.0,
+        },
+        MaskPoint {
+            offset_hz: 2.5e6,
+            limit_dbr: -40.0,
+        },
+    ];
+    let fir = ofdm_dsp::fir::lowpass(21, 0.2, ofdm_dsp::window::Window::Hamming);
+    let echoes = vec![
+        Complex64::new(1.0, 0.0),
+        Complex64::new(0.3, -0.2),
+        Complex64::ZERO,
+        Complex64::new(-0.1, 0.05),
+    ];
+    let paths = vec![(0, 0.7), (3, 0.2), (9, 0.1)];
+    vec![
+        Box::new(RappPa::new(1.0, 3.0).with_input_backoff_db(3.0)),
+        Box::new(SalehPa::classic()),
+        Box::new(SoftClipPa::new(0.8)),
+        Box::new(AwgnChannel::from_snr_db(12.0, 42).with_reference_power(1.0)),
+        Box::new(MultipathChannel::new(echoes)),
+        Box::new(FadingChannel::rician(paths, 2.0, 120.0, 11)),
+        Box::new(CfoChannel::new(12_345.0).with_phase(0.4)),
+        Box::new(PhaseNoiseChannel::new(5_000.0, 21)),
+        Box::new(FirBlock::new(fir)),
+        Box::new(ButterworthLowpass::new(4, 1.0e6)),
+        Box::new(PowerMeter::new()),
+        Box::new(SpectrumAnalyzer::new(64)),
+        Box::new(AcprMeter::new(1.0e6, 2.0e6, 64)),
+        Box::new(CcdfProbe::new()),
+        Box::new(MaskChecker::new(mask, 1.0e6, 64)),
+        Box::new(GainBlock::from_db(-3.5)),
+        Box::new(SampleDropper::new(0.1, 7)),
+        Box::new(NanInjector::new(0.05, 3)),
+        Box::new(ClockDriftJitter::new(20.0, 0.01, 9)),
+    ]
+}
+
+/// What a block measured over its last pass, as bit patterns: instrument
+/// readings and impairment fault counters (nothing for pure signal blocks).
+fn reading_bits(b: &dyn Block) -> Vec<u64> {
+    let any = b as &dyn std::any::Any;
+    let values: Vec<f64> = if let Some(m) = any.downcast_ref::<PowerMeter>() {
+        m.power().into_iter().collect()
+    } else if let Some(sa) = any.downcast_ref::<SpectrumAnalyzer>() {
+        sa.psd().expect("measured").to_vec()
+    } else if let Some(acpr) = any.downcast_ref::<AcprMeter>() {
+        let (lo, up) = acpr.acpr_db().expect("measured");
+        vec![lo, up]
+    } else if let Some(probe) = any.downcast_ref::<CcdfProbe>() {
+        let ccdf = probe.ccdf().expect("measured").into_iter().map(|(_, p)| p);
+        ccdf.chain(probe.papr_db()).collect()
+    } else if let Some(chk) = any.downcast_ref::<MaskChecker>() {
+        chk.margin_db().into_iter().collect()
+    } else if let Some(d) = any.downcast_ref::<SampleDropper>() {
+        vec![d.dropped() as f64]
+    } else if let Some(inj) = any.downcast_ref::<NanInjector>() {
+        vec![inj.injected() as f64]
+    } else {
+        Vec::new()
+    };
+    values.into_iter().map(f64::to_bits).collect()
+}
+
+/// A deterministic two-tone test pass of `n` samples at 8 MHz, offset by
+/// `phase` so consecutive passes differ.
+fn test_pass(n: usize, phase: f64) -> Signal {
+    let fs = 8.0e6;
+    let samples = (0..n)
+        .map(|i| {
+            let t = i as f64 / fs;
+            ofdm_dsp::Complex64::cis(std::f64::consts::TAU * 0.4e6 * t + phase)
+                + ofdm_dsp::Complex64::cis(std::f64::consts::TAU * 2.1e6 * t).scale(0.05)
+        })
+        .collect();
+    Signal::new(samples, fs)
+}
+
+/// A signal's samples as bit patterns, so NaN outputs compare exactly.
+fn sample_bits(s: &Signal) -> (Vec<u64>, Vec<u64>, u64) {
+    (
+        s.re().iter().map(|x| x.to_bits()).collect(),
+        s.im().iter().map(|x| x.to_bits()).collect(),
+        s.sample_rate().to_bits(),
+    )
+}
+
+/// Two consecutive `process` passes equal two streamed passes
+/// (`begin_stream`, `process_chunk` per chunk, `end_stream`) bit for bit —
+/// outputs and instrument readings — at chunk sizes 1, 7 and the whole
+/// pass, for every block whose batch pass is one whole-pass chunk.
+#[test]
+fn every_whole_pass_block_streams_bit_identically() {
+    let passes = [test_pass(300, 0.0), test_pass(257, 1.3)];
+    let count = whole_pass_blocks().len();
+    assert_eq!(count, 19, "one entry per whole-pass block");
+    for k in 0..count {
+        let mut batch = whole_pass_blocks().swap_remove(k);
+        let want: Vec<_> = passes
+            .iter()
+            .map(|pass| {
+                let out = batch.process(std::slice::from_ref(pass)).unwrap();
+                (sample_bits(&out), reading_bits(&*batch))
+            })
+            .collect();
+        for chunk_len in [Some(1usize), Some(7), None] {
+            let mut streamed = whole_pass_blocks().swap_remove(k);
+            for (pass, want) in passes.iter().zip(&want) {
+                let chunk_len = chunk_len.unwrap_or(pass.len());
+                streamed.begin_stream();
+                let mut got = Signal::empty(pass.sample_rate());
+                let mut chunk = Signal::default();
+                let mut out = Signal::default();
+                for pos in (0..pass.len()).step_by(chunk_len) {
+                    chunk.assign_range(pass, pos, chunk_len.min(pass.len() - pos));
+                    streamed.process_chunk(&[&chunk], &mut out).unwrap();
+                    got.extend_from(&out);
+                }
+                streamed.end_stream().unwrap();
+                let got = (sample_bits(&got), reading_bits(&*streamed));
+                assert_eq!(&got, want, "{} at chunk_len {chunk_len}", batch.name());
+            }
+        }
+    }
+}
