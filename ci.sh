@@ -32,6 +32,12 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> perfbench build: cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml"
+# perfbench is a workspace of its own that implements `Block` for its
+# `Timed<B>` wrapper, so nothing above compiles it: an API change to the
+# block trait could pass every gate here and break only the benchmark.
+cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> crate tests: cargo test -q --workspace"
 # The root package's `cargo test` skips the member crates' own suites:
 # the rfsim/bench unit tests and crates/bench/tests (lab engine, the

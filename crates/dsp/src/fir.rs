@@ -148,15 +148,6 @@ impl FirFilter {
         input.iter().map(|&x| self.push(x)).collect()
     }
 
-    /// Processes a block into a reused output buffer (cleared first) —
-    /// the allocation-free variant of [`FirFilter::process`] used by
-    /// streaming blocks.
-    pub fn process_into(&mut self, input: &[Complex64], out: &mut Vec<Complex64>) {
-        out.clear();
-        out.reserve(input.len());
-        out.extend(input.iter().map(|&x| self.push(x)));
-    }
-
     /// Clears the internal delay line.
     pub fn reset(&mut self) {
         for z in self.delay.iter_mut() {

@@ -178,8 +178,10 @@ impl Error for SimError {}
 ///
 /// Blocks process whole signal blocks (frames), matching the behavioral
 /// abstraction level the paper argues for: no per-sample event scheduling.
-/// A block with a chunk kernel ([`Block::process_chunk`]) has exactly one:
-/// its batch [`Block::process`] is [`whole_pass`], the pass as one chunk.
+/// An interior block implements one chunk kernel,
+/// [`Block::process_chunk`]; its batch [`Block::process`] is the provided
+/// default, the pass as one chunk. A source implements
+/// [`Block::process`] (and optionally [`Block::stream_chunk`]) instead.
 ///
 /// The `Any` supertrait lets [`crate::Graph::block`] hand instruments back
 /// to the caller by concrete type after a run.
@@ -210,15 +212,26 @@ pub trait Block: Send + std::any::Any {
     /// Processes one simulation pass.
     ///
     /// `inputs` holds exactly `input_count()` signals, ordered by port.
-    /// The scheduler calls this only to evaluate sources; blocks that
-    /// override [`Block::process_chunk`] implement it as [`whole_pass`].
+    /// The default runs the pass as one chunk: [`Block::begin_stream`],
+    /// one [`Block::process_chunk`] over `inputs`, then
+    /// [`Block::end_stream`], so an interior block's batch and chunked
+    /// paths are one kernel and agree by construction. Sources override
+    /// it: the scheduler calls it only to evaluate them.
     ///
     /// # Errors
     ///
     /// Implementations return [`SimError::BlockFailure`] (or
     /// [`SimError::RateMismatch`]) for conditions detectable only at run
-    /// time.
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError>;
+    /// time; the default returns whatever `process_chunk` or `end_stream`
+    /// returns.
+    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
+        let inputs: Vec<&Signal> = inputs.iter().collect();
+        let mut out = Signal::default();
+        self.begin_stream();
+        self.process_chunk(&inputs, &mut out)?;
+        self.end_stream()?;
+        Ok(out)
+    }
 
     /// Clears internal state (delay lines, accumulators) between runs.
     fn reset(&mut self) {}
@@ -237,18 +250,18 @@ pub trait Block: Send + std::any::Any {
     /// phase) rely on chunks arriving in order and carry their state from
     /// chunk to chunk, so any chunking of a pass gives the same output.
     ///
-    /// The default adapter clones the chunk inputs and delegates to
-    /// `process`, so batch-only blocks (e.g. the resamplers) participate
-    /// unchanged, at the cost of one copy per chunk. Blocks on hot paths
-    /// override this to write `out` in place.
+    /// Every interior block implements this; there is no batch fallback.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Block::process`].
+    /// Same conditions as [`Block::process`]. The default returns
+    /// [`SimError::BlockFailure`]: the block has no chunk kernel.
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
-        let owned: Vec<Signal> = inputs.iter().map(|&s| s.clone()).collect();
-        *out = self.process(&owned)?;
-        Ok(())
+        let _ = (inputs, out);
+        Err(SimError::BlockFailure {
+            block: self.name().to_owned(),
+            message: "block has no chunk kernel".into(),
+        })
     }
 
     /// Hook called once after the final chunk of every pass, batch or
@@ -285,27 +298,6 @@ pub trait Block: Send + std::any::Any {
             message: "block does not support chunked streaming".into(),
         })
     }
-}
-
-/// Runs one whole pass of `block` as a single chunk:
-/// [`Block::begin_stream`], one [`Block::process_chunk`] over `inputs`,
-/// then [`Block::end_stream`]. Returns the pass output.
-///
-/// Every block with a chunk kernel implements [`Block::process`] as this
-/// call, so its batch and chunked paths are one kernel and agree by
-/// construction. A block must override `process_chunk` before using
-/// it: the default adapter calls `process`, which would recurse forever.
-///
-/// # Errors
-///
-/// Whatever `process_chunk` or `end_stream` returns.
-pub fn whole_pass<B: Block + ?Sized>(block: &mut B, inputs: &[Signal]) -> Result<Signal, SimError> {
-    let inputs: Vec<&Signal> = inputs.iter().collect();
-    let mut out = Signal::default();
-    block.begin_stream();
-    block.process_chunk(&inputs, &mut out)?;
-    block.end_stream()?;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -365,28 +357,25 @@ mod tests {
     }
 
     #[test]
-    fn default_chunk_adapter_delegates_to_process() {
-        use ofdm_dsp::Complex64;
-        struct Doubler;
-        impl Block for Doubler {
+    fn default_chunk_kernel_is_a_typed_failure() {
+        struct Stageless;
+        impl Block for Stageless {
             fn name(&self) -> &str {
-                "doubler"
-            }
-            fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-                let samples = inputs[0].samples().iter().map(|z| z.scale(2.0)).collect();
-                Ok(Signal::new(samples, inputs[0].sample_rate()))
+                "stageless"
             }
         }
-        let mut b = Doubler;
+        let mut b = Stageless;
         assert!(!b.supports_streaming());
-        b.begin_stream();
-        let chunk = Signal::new(vec![Complex64::ONE; 3], 1.0e6);
+        let chunk = Signal::new(vec![ofdm_dsp::Complex64::ONE; 3], 1.0e6);
         let mut out = Signal::default();
-        b.process_chunk(&[&chunk], &mut out).unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out.sample_rate(), 1.0e6);
-        assert!((out.samples()[0].re - 2.0).abs() < 1e-15);
-        b.end_stream().unwrap();
+        let no_kernel = SimError::BlockFailure {
+            block: "stageless".into(),
+            message: "block has no chunk kernel".into(),
+        };
+        assert_eq!(b.process_chunk(&[&chunk], &mut out), Err(no_kernel.clone()));
+        // The provided batch pass runs the same (missing) kernel: no
+        // recursion back into `process`.
+        assert_eq!(b.process(&[chunk]), Err(no_kernel));
         // Non-streaming sources reject stream_chunk by default.
         assert!(matches!(
             b.stream_chunk(8, &mut out),
@@ -433,9 +422,6 @@ mod tests {
         impl Block for Stage {
             fn name(&self) -> &str {
                 "stage"
-            }
-            fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-                Ok(inputs[0].clone())
             }
         }
         assert_eq!(Src.role(), BlockRole::Source);

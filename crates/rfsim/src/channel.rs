@@ -1,16 +1,20 @@
-//! Transmission-channel models: AWGN, static multipath, Rayleigh fading,
+//! Transmission-channel models: AWGN, static multipath,
 //! tapped-delay-line Rayleigh/Rician fading, carrier frequency offset,
-//! oscillator phase noise and a DSL twisted-pair line.
+//! oscillator phase noise, a DSL twisted-pair line and impulsive noise.
 //!
 //! The paper's point C2 is that the digital TX, the RF parts *and the
 //! transmission channel* can be verified in one simulator — these blocks are
 //! that channel. The fading/CFO/phase-noise trio closes the TX→channel→RX
-//! loop for the BER waterfall sweeps (EXPERIMENTS.md E11): every block here
-//! is chunking-invariant (chunked streaming output is bit-identical to one
-//! batch pass) and seed-deterministic, so million-point sweeps shard across
-//! workers and resume from checkpoints without changing a single sample.
+//! loop for the BER waterfall sweeps (EXPERIMENTS.md E11). Every block here
+//! is seed-deterministic, and all but two are chunking-invariant (chunked
+//! streaming output is bit-identical to one batch pass), so million-point
+//! sweeps shard across workers and resume from checkpoints without
+//! changing a single sample. The exceptions measure signal power per chunk:
+//! [`AwgnChannel`] is chunking-invariant only with a fixed
+//! [`AwgnChannel::with_reference_power`], and [`ImpulsiveNoiseChannel`] is
+//! not invariant below a whole pass.
 
-use crate::block::{whole_pass, Block, SimError};
+use crate::block::{Block, SimError};
 use crate::signal::Signal;
 use crate::supervise::BlockRole;
 use ofdm_dsp::fir::FirFilter;
@@ -24,6 +28,14 @@ fn gaussian_pair(rng: &mut StdRng) -> (f64, f64) {
     let u2: f64 = rng.gen();
     let r = (-2.0 * u1.ln()).sqrt();
     (r * (TAU * u2).cos(), r * (TAU * u2).sin())
+}
+
+/// Arms a split delay line of `len` samples with exact zeros (pass start).
+fn arm_history(hist_re: &mut Vec<f64>, hist_im: &mut Vec<f64>, len: usize) {
+    hist_re.clear();
+    hist_im.clear();
+    hist_re.resize(len, 0.0);
+    hist_im.resize(len, 0.0);
 }
 
 /// Rolls a delay line forward over one chunk of input: afterwards `hist`
@@ -76,7 +88,7 @@ impl AwgnChannel {
     /// Builder: derive the noise variance from a fixed reference power
     /// instead of measuring each pass (or each chunk).
     ///
-    /// Measuring the input power inside `process` makes the noise level
+    /// Measuring the input power inside the chunk kernel makes the noise level
     /// depend on how the pass is split: a chunked streaming run would
     /// measure each chunk separately and diverge from the batch run. With a
     /// fixed reference the noise σ is constant, the RNG sequence continues
@@ -116,10 +128,6 @@ impl Block for AwgnChannel {
         "awgn-channel"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
         let sig_pow = match self.reference_power {
@@ -153,9 +161,11 @@ impl Block for AwgnChannel {
 #[derive(Debug, Clone)]
 pub struct MultipathChannel {
     taps: Vec<Complex64>,
-    /// Last `taps.len() - 1` input samples of the streaming pass so far
-    /// (zero-filled at pass start); carries echo memory across chunks.
-    history: Vec<Complex64>,
+    /// Split delay line: the last `taps.len() - 1` input samples of the
+    /// pass so far (zero-filled at pass start); carries echo memory across
+    /// chunks.
+    hist_re: Vec<f64>,
+    hist_im: Vec<f64>,
 }
 
 impl MultipathChannel {
@@ -169,7 +179,8 @@ impl MultipathChannel {
         assert!(!taps.is_empty(), "taps must be nonempty");
         MultipathChannel {
             taps,
-            history: Vec::new(),
+            hist_re: Vec::new(),
+            hist_im: Vec::new(),
         }
     }
 
@@ -203,137 +214,42 @@ impl Block for MultipathChannel {
         "multipath-channel"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn begin_stream(&mut self) {
-        self.history.clear();
-        self.history.resize(self.taps.len() - 1, Complex64::ZERO);
+        arm_history(&mut self.hist_re, &mut self.hist_im, self.taps.len() - 1);
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
-        if self.history.len() + 1 != self.taps.len() {
+        if self.hist_re.len() + 1 != self.taps.len() {
             // Direct use without begin_stream: arm the delay line now.
-            self.history.clear();
-            self.history.resize(self.taps.len() - 1, Complex64::ZERO);
+            self.begin_stream();
         }
-        let x = inputs[0].samples();
+        let (x_re, x_im) = inputs[0].parts();
         out.clear();
         out.set_sample_rate(inputs[0].sample_rate());
-        let hist = self.history.len();
-        for n in 0..x.len() {
+        let hist = self.hist_re.len();
+        for n in 0..x_re.len() {
             let mut acc = Complex64::ZERO;
             for (k, &h) in self.taps.iter().enumerate() {
                 // Samples before the chunk start come from the carried
                 // history, which holds exact zeros at pass start.
                 let s = if n >= k {
-                    x[n - k]
+                    Complex64::new(x_re[n - k], x_im[n - k])
                 } else {
-                    self.history[hist - (k - n)]
+                    let idx = hist - (k - n);
+                    Complex64::new(self.hist_re[idx], self.hist_im[idx])
                 };
                 acc += h * s;
             }
             out.push(acc);
         }
-        roll_history(&mut self.history, &x);
+        roll_history(&mut self.hist_re, x_re);
+        roll_history(&mut self.hist_im, x_im);
         Ok(())
     }
 
     fn reset(&mut self) {
-        self.history.clear();
-    }
-}
-
-/// A time-varying Rayleigh fading channel: tapped delay line whose tap gains
-/// evolve with a Jakes Doppler spectrum (sum-of-sinusoids synthesis).
-#[derive(Debug, Clone)]
-pub struct RayleighChannel {
-    /// (delay in samples, average linear power) per path.
-    paths: Vec<(usize, f64)>,
-    doppler_hz: f64,
-    seed: u64,
-    /// Per path: oscillator parameters (amplitude-normalized).
-    oscillators: Vec<Vec<(f64, f64, f64)>>, // (freq scale cosθ, phase_i, phase_q)
-    t: u64,
-}
-
-impl RayleighChannel {
-    const N_OSC: usize = 16;
-
-    /// Creates a fading channel from a power-delay profile
-    /// `[(delay_samples, avg_power)]`, a maximum Doppler shift and a seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `paths` is empty or `doppler_hz` is negative.
-    pub fn new(paths: Vec<(usize, f64)>, doppler_hz: f64, seed: u64) -> Self {
-        assert!(!paths.is_empty(), "paths must be nonempty");
-        assert!(doppler_hz >= 0.0, "doppler must be nonnegative");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let oscillators = paths
-            .iter()
-            .map(|_| {
-                (0..Self::N_OSC)
-                    .map(|_| {
-                        let theta: f64 = rng.gen_range(0.0..TAU);
-                        (
-                            theta.cos(),
-                            rng.gen_range(0.0..TAU),
-                            rng.gen_range(0.0..TAU),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        RayleighChannel {
-            paths,
-            doppler_hz,
-            seed,
-            oscillators,
-            t: 0,
-        }
-    }
-
-    /// The instantaneous complex gain of path `p` at absolute sample `t`.
-    fn gain(&self, p: usize, t: u64, sample_rate: f64) -> Complex64 {
-        let power = self.paths[p].1;
-        let norm = (power / Self::N_OSC as f64).sqrt();
-        let mut g = Complex64::ZERO;
-        for &(cos_theta, phi_i, phi_q) in &self.oscillators[p] {
-            let w = TAU * self.doppler_hz * cos_theta * t as f64 / sample_rate;
-            g += Complex64::new((w + phi_i).cos(), (w + phi_q).cos());
-        }
-        // Each quadrature sums N cosines of variance 1/2, so |g|² averages
-        // N·norm² = power with no further scaling.
-        g.scale(norm)
-    }
-}
-
-impl Block for RayleighChannel {
-    fn name(&self) -> &str {
-        "rayleigh-channel"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let x = inputs[0].samples();
-        let fs = inputs[0].sample_rate();
-        let mut y = vec![Complex64::ZERO; x.len()];
-        for (n, out) in y.iter_mut().enumerate() {
-            let t = self.t + n as u64;
-            for (p, &(delay, _)) in self.paths.iter().enumerate() {
-                if n >= delay {
-                    *out += self.gain(p, t, fs) * x[n - delay];
-                }
-            }
-        }
-        self.t += x.len() as u64;
-        Ok(Signal::new(y, fs))
-    }
-
-    fn reset(&mut self) {
-        self.t = 0;
-        *self = RayleighChannel::new(self.paths.clone(), self.doppler_hz, self.seed);
+        self.hist_re.clear();
+        self.hist_im.clear();
     }
 }
 
@@ -543,14 +459,6 @@ impl FadingChannel {
             })
             .sum()
     }
-
-    fn arm_history(&mut self) {
-        let hist = self.max_delay();
-        self.hist_re.clear();
-        self.hist_im.clear();
-        self.hist_re.resize(hist, 0.0);
-        self.hist_im.resize(hist, 0.0);
-    }
 }
 
 impl Block for FadingChannel {
@@ -562,18 +470,15 @@ impl Block for FadingChannel {
         BlockRole::Impairment
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn begin_stream(&mut self) {
-        self.arm_history();
+        let len = self.max_delay();
+        arm_history(&mut self.hist_re, &mut self.hist_im, len);
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         if self.hist_re.len() != self.max_delay() {
             // Direct use without begin_stream: arm the delay line now.
-            self.arm_history();
+            self.begin_stream();
         }
         let (x_re, x_im) = inputs[0].parts();
         let fs = inputs[0].sample_rate();
@@ -668,10 +573,6 @@ impl Block for CfoChannel {
         BlockRole::Impairment
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
         let fs = out.sample_rate();
@@ -751,10 +652,6 @@ impl Block for PhaseNoiseChannel {
         BlockRole::Impairment
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
         let fs = out.sample_rate();
@@ -779,6 +676,9 @@ pub struct DslLineChannel {
     loss_at_ref_db: f64,
     f_ref_hz: f64,
     fir_len: usize,
+    /// The FIR designed for the last input rate, with its delay line
+    /// (zeroed at pass start, carried across chunks).
+    fir: Option<(f64, FirFilter)>,
 }
 
 impl DslLineChannel {
@@ -799,6 +699,7 @@ impl DslLineChannel {
             // DMT cyclic prefix; real loops are longer and need a TEQ —
             // model that by raising the length via `with_fir_len`.
             fir_len: 33,
+            fir: None,
         }
     }
 
@@ -815,6 +716,7 @@ impl DslLineChannel {
             "FIR length must be odd for integer group delay"
         );
         self.fir_len = len;
+        self.fir = None;
         self
     }
 
@@ -863,13 +765,29 @@ impl Block for DslLineChannel {
         "dsl-line"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let coeffs = self.design(inputs[0].sample_rate());
-        let mut fir = FirFilter::new(coeffs);
-        Ok(Signal::new(
-            fir.process(&inputs[0].samples()),
-            inputs[0].sample_rate(),
-        ))
+    fn begin_stream(&mut self) {
+        self.reset();
+    }
+
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        let fs = inputs[0].sample_rate();
+        let fir = match self.fir.take() {
+            Some((rate, fir)) if rate == fs => fir,
+            _ => FirFilter::new(self.design(fs)),
+        };
+        let fir = &mut self.fir.insert((fs, fir)).1;
+        out.clear();
+        out.set_sample_rate(fs);
+        for x in inputs[0].iter() {
+            out.push(fir.push(x));
+        }
+        Ok(())
+    }
+
+    fn reset(&mut self) {
+        if let Some((_, fir)) = &mut self.fir {
+            fir.reset();
+        }
     }
 }
 
@@ -928,17 +846,19 @@ impl Block for ImpulsiveNoiseChannel {
         "impulsive-noise-channel"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let mut s = inputs[0].clone();
-        let sig_pow = s.power();
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        out.copy_from(inputs[0]);
+        // Measured per chunk (the whole pass in a batch pass), so σ
+        // depends on the chunking.
+        let sig_pow = out.power();
         if sig_pow == 0.0 {
-            return Ok(s);
+            return Ok(());
         }
         let bg_pow = sig_pow * 10f64.powf(-self.background_snr_db / 10.0);
         let bg_sigma = (bg_pow / 2.0).sqrt();
         let imp_sigma = bg_sigma * 10f64.powf(self.impulse_to_background_db / 20.0);
         // Sequential loop: the RNG draw order defines the noise sequence.
-        let (re, im) = s.parts_mut();
+        let (re, im) = out.parts_mut();
         for (r, i) in re.iter_mut().zip(im.iter_mut()) {
             let (gr, gi) = gaussian_pair(&mut self.rng);
             *r += bg_sigma * gr;
@@ -949,7 +869,7 @@ impl Block for ImpulsiveNoiseChannel {
                 *i += imp_sigma * ii;
             }
         }
-        Ok(s)
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -1116,7 +1036,7 @@ mod tests {
     #[test]
     fn rayleigh_average_power_matches_profile() {
         // Single path of unit average power; check long-run mean.
-        let mut ch = RayleighChannel::new(vec![(0, 1.0)], 0.01, 7);
+        let mut ch = FadingChannel::rayleigh(vec![(0, 1.0)], 0.01, 7);
         let out = ch.process(&[ones(200_000)]).unwrap();
         let p = out.power();
         assert!((p - 1.0).abs() < 0.3, "fading mean power {p}");
@@ -1124,7 +1044,7 @@ mod tests {
 
     #[test]
     fn rayleigh_static_when_doppler_zero() {
-        let mut ch = RayleighChannel::new(vec![(0, 1.0)], 0.0, 5);
+        let mut ch = FadingChannel::rayleigh(vec![(0, 1.0)], 0.0, 5);
         let out = ch.process(&[ones(100)]).unwrap();
         let g0 = out.get(0);
         for z in out.iter() {
@@ -1134,7 +1054,7 @@ mod tests {
 
     #[test]
     fn rayleigh_varies_with_doppler() {
-        let mut ch = RayleighChannel::new(vec![(0, 1.0)], 0.05, 5);
+        let mut ch = FadingChannel::rayleigh(vec![(0, 1.0)], 0.05, 5);
         let out = ch.process(&[ones(1000)]).unwrap();
         let g0 = out.samples()[0];
         let g999 = out.samples()[999];
@@ -1143,7 +1063,7 @@ mod tests {
 
     #[test]
     fn rayleigh_reset_reproduces() {
-        let mut ch = RayleighChannel::new(vec![(0, 0.5), (3, 0.5)], 0.02, 11);
+        let mut ch = FadingChannel::rayleigh(vec![(0, 0.5), (3, 0.5)], 0.02, 11);
         let a = ch.process(&[ones(128)]).unwrap();
         ch.reset();
         let b = ch.process(&[ones(128)]).unwrap();

@@ -36,7 +36,7 @@
 //! # }
 //! ```
 
-use crate::block::{whole_pass, Block, SimError};
+use crate::block::{Block, SimError};
 use crate::signal::Signal;
 use crate::supervise::BlockRole;
 use ofdm_dsp::Complex64;
@@ -124,10 +124,6 @@ impl Block for SampleDropper {
         "sample-dropper"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
         self.corrupt(out);
@@ -196,10 +192,6 @@ impl Block for NanInjector {
 
     fn name(&self) -> &str {
         "nan-injector"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
@@ -281,10 +273,6 @@ impl Block for ClockDriftJitter {
 
     fn name(&self) -> &str {
         "clock-drift-jitter"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

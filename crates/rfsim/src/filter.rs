@@ -4,7 +4,7 @@
 //! filters of the RF lineup as a cascade of bilinear-transformed biquads;
 //! [`FirBlock`] adapts any [`ofdm_dsp::fir`] design into the graph.
 
-use crate::block::{whole_pass, Block, SimError};
+use crate::block::{Block, SimError};
 use crate::signal::Signal;
 use ofdm_dsp::fir::FirFilter;
 use ofdm_dsp::Complex64;
@@ -14,7 +14,6 @@ use std::f64::consts::PI;
 #[derive(Debug, Clone)]
 pub struct FirBlock {
     filter: FirFilter,
-    scratch: Vec<Complex64>,
 }
 
 impl FirBlock {
@@ -26,7 +25,6 @@ impl FirBlock {
     pub fn new(coeffs: Vec<f64>) -> Self {
         FirBlock {
             filter: FirFilter::new(coeffs),
-            scratch: Vec::new(),
         }
     }
 }
@@ -36,15 +34,13 @@ impl Block for FirBlock {
         "fir"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         // The delay line carries across chunks and passes alike.
-        self.filter
-            .process_into(&inputs[0].samples(), &mut self.scratch);
-        out.assign(&self.scratch, inputs[0].sample_rate());
+        out.clear();
+        out.set_sample_rate(inputs[0].sample_rate());
+        for x in inputs[0].iter() {
+            out.push(self.filter.push(x));
+        }
         Ok(())
     }
 
@@ -176,10 +172,6 @@ impl ButterworthLowpass {
 impl Block for ButterworthLowpass {
     fn name(&self) -> &str {
         "butterworth-lowpass"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

@@ -193,8 +193,8 @@ impl Graph {
     ///   catches a NaN/inf sample.
     /// * [`SimError::BlockFault`] when an open circuit breaker on an
     ///   essential block fails fast.
-    /// * Any error returned by a block's `process`, `stream_chunk` or
-    ///   `end_stream`.
+    /// * Any error returned by a block's `process`, `process_chunk`,
+    ///   `stream_chunk` or `end_stream`.
     pub fn execute(&mut self, plan: &ExecPlan) -> Result<Option<RunReport>, SimError> {
         // Drop the retained report up front: after a failed pass callers
         // must not read the previous pass's success report.
@@ -714,11 +714,11 @@ mod tests {
         fn name(&self) -> &str {
             "gain"
         }
-        fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-            let mut s = inputs[0].clone();
+        fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+            out.copy_from(inputs[0]);
             let gain = self.0;
-            s.map_in_place(|z| z.scale(gain));
-            Ok(s)
+            out.map_in_place(|z| z.scale(gain));
+            Ok(())
         }
     }
 
@@ -730,14 +730,14 @@ mod tests {
         fn input_count(&self) -> usize {
             2
         }
-        fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-            let mut s = inputs[0].clone();
+        fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+            out.copy_from(inputs[0]);
             for (i, b) in inputs[1].iter().enumerate() {
-                if i < s.len() {
-                    s.set(i, s.get(i) + b);
+                if i < out.len() {
+                    out.set(i, out.get(i) + b);
                 }
             }
-            Ok(s)
+            Ok(())
         }
     }
 
@@ -982,18 +982,42 @@ mod tests {
         g.execute(&ExecPlan::streaming(4)).unwrap();
     }
 
+    #[test]
+    fn interior_block_without_a_kernel_fails_the_pass_with_a_typed_error() {
+        /// An interior block that implements no chunk kernel.
+        struct Kernelless;
+        impl Block for Kernelless {
+            fn name(&self) -> &str {
+                "kernelless"
+            }
+        }
+        let mut g = Graph::new();
+        let c = g.add(Const(1.0));
+        let k = g.add(Kernelless);
+        g.chain(&[c, k]).unwrap();
+        let no_kernel = SimError::BlockFailure {
+            block: "kernelless".into(),
+            message: "block has no chunk kernel".into(),
+        };
+        for plan in [ExecPlan::batch(), ExecPlan::streaming(3)] {
+            assert_eq!(g.execute(&plan).unwrap_err(), no_kernel);
+            assert_eq!(g.health(), Health::Failed);
+            assert!(g.output(k).is_none());
+        }
+    }
+
     /// A block that corrupts one sample with NaN.
     struct Corruptor;
     impl Block for Corruptor {
         fn name(&self) -> &str {
             "corruptor"
         }
-        fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-            let mut s = inputs[0].clone();
-            if s.len() > 3 {
-                s.set(3, Complex64::new(f64::NAN, 0.0));
+        fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+            out.copy_from(inputs[0]);
+            if out.len() > 3 {
+                out.set(3, Complex64::new(f64::NAN, 0.0));
             }
-            Ok(s)
+            Ok(())
         }
     }
 
@@ -1242,7 +1266,7 @@ mod tests {
         fn role(&self) -> BlockRole {
             BlockRole::Impairment
         }
-        fn process(&mut self, _: &[Signal]) -> Result<Signal, SimError> {
+        fn process_chunk(&mut self, _: &[&Signal], _: &mut Signal) -> Result<(), SimError> {
             self.calls += 1;
             Err(SimError::BlockFailure {
                 block: "bad-imp".into(),
@@ -1259,7 +1283,7 @@ mod tests {
         fn name(&self) -> &str {
             "bad-stage"
         }
-        fn process(&mut self, _: &[Signal]) -> Result<Signal, SimError> {
+        fn process_chunk(&mut self, _: &[&Signal], _: &mut Signal) -> Result<(), SimError> {
             self.calls += 1;
             Err(SimError::BlockFailure {
                 block: "bad-stage".into(),
@@ -1435,7 +1459,11 @@ mod tests {
             fn role(&self) -> BlockRole {
                 BlockRole::Impairment
             }
-            fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
+            fn process_chunk(
+                &mut self,
+                inputs: &[&Signal],
+                out: &mut Signal,
+            ) -> Result<(), SimError> {
                 self.calls += 1;
                 if self.calls <= self.failures {
                     return Err(SimError::BlockFailure {
@@ -1443,9 +1471,9 @@ mod tests {
                         message: "warming up".into(),
                     });
                 }
-                let mut s = inputs[0].clone();
-                s.map_in_place(|z| z.scale(2.0));
-                Ok(s)
+                out.copy_from(inputs[0]);
+                out.map_in_place(|z| z.scale(2.0));
+                Ok(())
             }
         }
         let mut g = Graph::new();

@@ -5,7 +5,7 @@
 //! back with [`crate::Graph::block`] and read the result — like placing a
 //! probe on an RF schematic node.
 
-use crate::block::{whole_pass, Block, SimError};
+use crate::block::{Block, SimError};
 use crate::signal::Signal;
 use crate::supervise::BlockRole;
 use ofdm_dsp::spectrum::{band_power, WelchPsd};
@@ -49,10 +49,6 @@ impl Block for PowerMeter {
 
     fn name(&self) -> &str {
         "power-meter"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
     }
 
     fn begin_stream(&mut self) {
@@ -121,7 +117,7 @@ impl SpectrumAnalyzer {
 
     /// Buffers one chunk of the streaming pass.
     fn stream_accumulate(&mut self, chunk: &Signal) {
-        self.stream_buf.extend_from_slice(&chunk.samples());
+        self.stream_buf.extend(chunk.iter());
         self.stream_rate = chunk.sample_rate();
     }
 
@@ -190,10 +186,6 @@ impl Block for SpectrumAnalyzer {
 
     fn name(&self) -> &str {
         "spectrum-analyzer"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
     }
 
     fn begin_stream(&mut self) {
@@ -291,10 +283,6 @@ impl Block for AcprMeter {
         "acpr-meter"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn begin_stream(&mut self) {
         self.analyzer.stream_begin();
     }
@@ -382,10 +370,6 @@ impl Block for CcdfProbe {
         "ccdf-probe"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn begin_stream(&mut self) {
         self.stream_buf.clear();
         self.stream_active = true;
@@ -393,7 +377,7 @@ impl Block for CcdfProbe {
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
-        self.stream_buf.extend_from_slice(&inputs[0].samples());
+        self.stream_buf.extend(inputs[0].iter());
         Ok(())
     }
 
@@ -521,10 +505,6 @@ impl Block for MaskChecker {
 
     fn name(&self) -> &str {
         "mask-checker"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
     }
 
     fn begin_stream(&mut self) {

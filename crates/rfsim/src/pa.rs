@@ -13,7 +13,7 @@
 //! retained as the equivalence oracle and the baseline the `simd_speedup`
 //! benchmark measures against.
 
-use crate::block::{whole_pass, Block, SimError};
+use crate::block::{Block, SimError};
 use crate::signal::Signal;
 use ofdm_dsp::{kernels, Complex64};
 
@@ -104,10 +104,6 @@ impl Block for RappPa {
         "rapp-pa"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
         let (re, im) = out.parts_mut();
@@ -192,10 +188,6 @@ impl Block for SalehPa {
         "saleh-pa"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
-    }
-
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
         out.copy_from(inputs[0]);
         let (re, im) = out.parts_mut();
@@ -253,10 +245,6 @@ impl SoftClipPa {
 impl Block for SoftClipPa {
     fn name(&self) -> &str {
         "softclip-pa"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

@@ -4,7 +4,7 @@
 //! headroom for DAC images and PA regrowth); these blocks adapt rates
 //! inside the graph, keeping the [`crate::Signal`] rate tag consistent.
 
-use crate::block::{whole_pass, Block, SimError};
+use crate::block::{Block, SimError};
 use crate::signal::Signal;
 use ofdm_dsp::resample::Resampler;
 
@@ -39,12 +39,11 @@ impl Block for Upsampler {
         "upsampler"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let out = self.resampler.process(&inputs[0].samples());
-        Ok(Signal::new(
-            out,
-            inputs[0].sample_rate() * self.factor as f64,
-        ))
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        // The polyphase delay line and phase carry across chunks.
+        let y = self.resampler.process(&inputs[0].samples());
+        out.assign(&y, inputs[0].sample_rate() * self.factor as f64);
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -83,12 +82,10 @@ impl Block for Downsampler {
         "downsampler"
     }
 
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        let out = self.resampler.process(&inputs[0].samples());
-        Ok(Signal::new(
-            out,
-            inputs[0].sample_rate() / self.factor as f64,
-        ))
+    fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {
+        let y = self.resampler.process(&inputs[0].samples());
+        out.assign(&y, inputs[0].sample_rate() / self.factor as f64);
+        Ok(())
     }
 
     fn reset(&mut self) {
@@ -121,10 +118,6 @@ impl GainBlock {
 impl Block for GainBlock {
     fn name(&self) -> &str {
         "gain"
-    }
-
-    fn process(&mut self, inputs: &[Signal]) -> Result<Signal, SimError> {
-        whole_pass(self, inputs)
     }
 
     fn process_chunk(&mut self, inputs: &[&Signal], out: &mut Signal) -> Result<(), SimError> {

@@ -133,8 +133,9 @@ fn parallel_scenario_sweep_reproduces_sequential() {
     }
 }
 
-/// Fresh instances of every block whose `process` is one whole-pass chunk
-/// through its streaming kernel.
+/// Fresh instances of every interior block shipped in `rfsim`: each runs
+/// through its one chunk kernel, and `process` is that kernel over the
+/// whole pass as one chunk.
 fn whole_pass_blocks() -> Vec<Box<dyn Block>> {
     use ofdm_dsp::Complex64;
     let mask = vec![
@@ -175,6 +176,15 @@ fn whole_pass_blocks() -> Vec<Box<dyn Block>> {
         Box::new(SampleDropper::new(0.1, 7)),
         Box::new(NanInjector::new(0.05, 3)),
         Box::new(ClockDriftJitter::new(20.0, 0.01, 9)),
+        Box::new(Dac::new(6, 1.2)),
+        Box::new(LocalOscillator::new(150.0e3, 2_000.0, 5)),
+        Box::new(Mixer::new()),
+        Box::new(Combiner::new()),
+        Box::new(IqImbalance::new(1.0, 2.0)),
+        Box::new(DslLineChannel::new(13.8, 300.0e3)),
+        Box::new(ImpulsiveNoiseChannel::new(20.0, 0.02, 25.0, 13)),
+        Box::new(Upsampler::new(4)),
+        Box::new(Downsampler::new(2)),
     ]
 }
 
@@ -230,33 +240,46 @@ fn sample_bits(s: &Signal) -> (Vec<u64>, Vec<u64>, u64) {
 /// Two consecutive `process` passes equal two streamed passes
 /// (`begin_stream`, `process_chunk` per chunk, `end_stream`) bit for bit —
 /// outputs and instrument readings — at chunk sizes 1, 7 and the whole
-/// pass, for every block whose batch pass is one whole-pass chunk.
+/// pass, for every interior block. Two-input blocks get the same chunk on
+/// both ports.
 #[test]
 fn every_whole_pass_block_streams_bit_identically() {
     let passes = [test_pass(300, 0.0), test_pass(257, 1.3)];
     let count = whole_pass_blocks().len();
-    assert_eq!(count, 19, "one entry per whole-pass block");
+    assert_eq!(count, 28, "one entry per whole-pass block");
     for k in 0..count {
         let mut batch = whole_pass_blocks().swap_remove(k);
+        let ports = batch.input_count();
         let want: Vec<_> = passes
             .iter()
             .map(|pass| {
-                let out = batch.process(std::slice::from_ref(pass)).unwrap();
+                let out = batch.process(&vec![pass.clone(); ports]).unwrap();
                 (sample_bits(&out), reading_bits(&*batch))
             })
             .collect();
-        for chunk_len in [Some(1usize), Some(7), None] {
+        // Impulsive noise measures its σ per chunk, so only the whole-pass
+        // chunk reproduces the batch pass.
+        let chunk_lens: &[Option<usize>] = if batch.name() == "impulsive-noise-channel" {
+            &[None]
+        } else {
+            &[Some(1), Some(7), None]
+        };
+        for &chunk_len in chunk_lens {
             let mut streamed = whole_pass_blocks().swap_remove(k);
             for (pass, want) in passes.iter().zip(&want) {
                 let chunk_len = chunk_len.unwrap_or(pass.len());
                 streamed.begin_stream();
-                let mut got = Signal::empty(pass.sample_rate());
+                let mut got = Signal::default();
                 let mut chunk = Signal::default();
                 let mut out = Signal::default();
                 for pos in (0..pass.len()).step_by(chunk_len) {
                     chunk.assign_range(pass, pos, chunk_len.min(pass.len() - pos));
-                    streamed.process_chunk(&[&chunk], &mut out).unwrap();
-                    got.extend_from(&out);
+                    streamed
+                        .process_chunk(&vec![&chunk; ports], &mut out)
+                        .unwrap();
+                    // Resamplers change the rate: take it from the output.
+                    got.extend_from_parts(out.re(), out.im());
+                    got.set_sample_rate(out.sample_rate());
                 }
                 streamed.end_stream().unwrap();
                 let got = (sample_bits(&got), reading_bits(&*streamed));
