@@ -96,7 +96,9 @@ wait "$SERVER_PID" || { echo "service smoke: server exited non-zero" >&2; exit 1
 
 echo "==> chaos smoke: resilient submit through the fault-injection proxy, then drain"
 # The same round trip, but the wire is hostile: an in-process chaos proxy
-# injects connection resets and torn frames (bounded by a fault budget).
+# injects connection resets, torn frames and shredded frames (one byte
+# per segment, since the proxy's legs set TCP_NODELAY), bounded by a
+# fault budget.
 # --resilient must reconnect under backoff and still produce a document
 # byte-identical to the in-process run; a graceful drain then takes the
 # server down cleanly.
@@ -110,7 +112,7 @@ done
 [ -s "$SMOKE_DIR/chaos_port" ] || { echo "chaos smoke: server never bound" >&2; exit 1; }
 ADDR=$(cat "$SMOKE_DIR/chaos_port")
 ./target/release/rfsim-cli submit examples/jobs/mini_waterfall.json \
-    --addr "$ADDR" --resilient --via-chaos seed=11,reset=0.2,tear=0.2,faults=6 \
+    --addr "$ADDR" --resilient --via-chaos seed=11,reset=0.2,tear=0.2,shred=0.2,faults=6 \
     --compare-local --out "$SMOKE_DIR/chaos_mini.json"
 ./target/release/rfsim-cli drain --addr "$ADDR"
 wait "$CHAOS_SERVER_PID" || { echo "chaos smoke: drained server exited non-zero" >&2; exit 1; }

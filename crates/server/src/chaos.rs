@@ -16,6 +16,13 @@
 //!   forwarding (tail-latency and heartbeat-pressure testing).
 //! - **Shredded writes** — the frame is forwarded one byte per `write`
 //!   call with a flush after each, the worst legal TCP fragmentation.
+//!   Both legs of every bridged connection set `TCP_NODELAY`, so each
+//!   shredded byte leaves as its own segment; with Nagle's algorithm on,
+//!   the kernel would merge the bytes queued behind an unacknowledged
+//!   one and the peer would see far fewer fragments.
+//!
+//! A frame that draws no fault is forwarded with [`wire::write_frame`],
+//! one write per frame, exactly as the endpoints send it.
 //!
 //! Each pump direction of each connection derives its own RNG from
 //! [`ChaosConfig::seed`], so equal seeds produce equal fault schedules
@@ -242,6 +249,9 @@ fn accept_loop(
                 let Ok(server) = TcpStream::connect(upstream) else {
                     continue; // upstream down: drop the client on the floor
                 };
+                if client.set_nodelay(true).is_err() || server.set_nodelay(true).is_err() {
+                    continue; // a leg is already gone: drop both
+                }
                 let conn = inner.connections.fetch_add(1, Ordering::SeqCst);
                 {
                     let mut socks = inner.socks.lock().unwrap_or_else(PoisonError::into_inner);
@@ -308,9 +318,9 @@ fn pump(
         let len = payload.len() as u32; // read_frame already enforced MAX_FRAME
         if roll_tear < cfg.tear_rate && inner.take_fault() {
             inner.torn.fetch_add(1, Ordering::SeqCst);
-            let cut = payload.len() / 2;
-            let _ = dst.write_all(&len.to_be_bytes());
-            let _ = dst.write_all(&payload[..cut]);
+            let mut torn = len.to_be_bytes().to_vec();
+            torn.extend_from_slice(&payload[..payload.len() / 2]);
+            let _ = dst.write_all(&torn);
             let _ = dst.flush();
             break;
         }
@@ -322,10 +332,7 @@ fn pump(
             inner.shredded.fetch_add(1, Ordering::SeqCst);
             shred(&mut dst, &len.to_be_bytes(), &payload)
         } else {
-            dst.write_all(&len.to_be_bytes())
-                .and_then(|()| dst.write_all(&payload))
-                .and_then(|()| dst.flush())
-                .is_ok()
+            wire::write_frame(&mut dst, &payload).is_ok()
         };
         if !forwarded {
             break;
@@ -391,6 +398,27 @@ mod tests {
         assert_eq!(stats.connections, 3);
         assert_eq!(stats.faults(), 0, "no faults configured, none injected");
         assert!(stats.frames >= 6, "both directions counted: {stats:?}");
+    }
+
+    #[test]
+    fn both_proxy_legs_disable_nagle() {
+        let (upstream, _server) = echo_server();
+        let proxy =
+            ChaosProxy::start(&upstream.to_string(), ChaosConfig::default()).expect("start");
+        // A completed round trip means the connection was bridged.
+        assert_eq!(roundtrip(proxy.addr(), b"ping").expect("echo"), b"ping");
+        {
+            let socks = proxy
+                .inner
+                .socks
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            assert_eq!(socks.len(), 2, "the client leg and the upstream leg");
+            for sock in socks.iter() {
+                assert!(sock.nodelay().expect("option readable"), "Nagle is off");
+            }
+        }
+        proxy.stop();
     }
 
     #[test]

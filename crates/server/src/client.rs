@@ -111,6 +111,7 @@ impl Client {
     /// not `Welcome`.
     pub fn connect(addr: &str, name: &str) -> Result<Client, WireError> {
         let mut stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         wire::send(
             &mut stream,
             &ClientMsg::Hello {
@@ -535,6 +536,25 @@ mod tests {
         };
         let c: Vec<u64> = (0..8).map(|n| other.delay_ms(n)).collect();
         assert_ne!(a, c, "different seeds jitter differently");
+    }
+
+    #[test]
+    fn connect_disables_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            wire::recv(&mut conn).expect("hello");
+            let welcome = ServerMsg::Welcome {
+                session: 1,
+                queue_capacity: 1,
+                lease_ms: None,
+            };
+            wire::send(&mut conn, &welcome.to_value()).expect("welcome");
+        });
+        let client = Client::connect(&addr, "nodelay").expect("handshake");
+        assert!(client.stream.nodelay().expect("option readable"));
+        server.join().expect("server thread");
     }
 
     #[test]

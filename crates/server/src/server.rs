@@ -180,9 +180,14 @@ type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
 fn write_msg(writer: &SharedWriter, msg: &ServerMsg) {
     let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
+    send_msg(&mut w, msg);
+}
+
+/// Writes one message on an already locked session stream.
+fn send_msg(w: &mut Box<dyn Write + Send>, msg: &ServerMsg) {
     // A dead client's writes fail; its reader thread notices the
     // disconnect and tears the session down, so failures here are moot.
-    let _ = wire::send(&mut *w, &msg.to_value());
+    let _ = wire::send(w, &msg.to_value());
 }
 
 /// Mutable per-job progress, behind the job's own mutex.
@@ -515,9 +520,21 @@ impl Shared {
             }
         }
 
+        // Lock the session's writer before the job can be queued and
+        // hold it until `Accepted` is written: a worker that finishes one
+        // of the job's points first waits for it, so `Accepted` is always
+        // the first frame carrying the job's id. The writer is taken
+        // before the state lock, never under it: a writer can wait on a
+        // client that stopped reading, and the scheduler and the lease
+        // reaper (which severs such a client) must not wait with it.
+        let Some(writer) = self.session_writer(session) else {
+            self.lock_labels().remove(&label);
+            return;
+        };
+        let mut out = writer.lock().unwrap_or_else(PoisonError::into_inner);
         let mut state = self.lock_state();
         let id = state.next_job;
-        let (writer, session_cancel) = {
+        let session_cancel = {
             let Some(slot) = state.slot_mut(session) else {
                 drop(state);
                 self.lock_labels().remove(&label);
@@ -545,13 +562,12 @@ impl Shared {
                 None
             };
             if let Some(msg) = rejection {
-                let writer = Arc::clone(&slot.writer);
                 drop(state);
                 self.lock_labels().remove(&label);
-                write_msg(&writer, &msg);
+                send_msg(&mut out, &msg);
                 return;
             }
-            (Arc::clone(&slot.writer), slot.cancel.clone())
+            slot.cancel.clone()
         };
 
         state.next_job += 1;
@@ -581,27 +597,29 @@ impl Shared {
             slot.queue.push_back(Arc::clone(&job_state));
         }
         drop(state);
-
-        write_msg(
-            &writer,
+        send_msg(
+            &mut out,
             &ServerMsg::Accepted {
                 job: id,
                 points: total,
             },
         );
+        drop(out);
         // Stream whatever prefix the checkpoint already covers; a fully
         // restored job completes without touching the worker pool.
         self.flush_progress(&job_state, &writer);
         self.work_ready.notify_all();
     }
 
+    /// A session's outbound stream, if the session still exists.
+    fn session_writer(&self, session: u64) -> Option<SharedWriter> {
+        let mut state = self.lock_state();
+        state.slot_mut(session).map(|s| Arc::clone(&s.writer))
+    }
+
     /// Sends a message on a session's stream, if it still exists.
     fn reply(&self, session: u64, msg: &ServerMsg) {
-        let writer = {
-            let mut state = self.lock_state();
-            state.slot_mut(session).map(|s| Arc::clone(&s.writer))
-        };
-        if let Some(writer) = writer {
+        if let Some(writer) = self.session_writer(session) {
             write_msg(&writer, msg);
         }
     }
@@ -616,12 +634,8 @@ impl Shared {
                 return;
             }
         };
-        let writer = {
-            let mut state = self.lock_state();
-            match state.slot_mut(job.session) {
-                Some(slot) => Arc::clone(&slot.writer),
-                None => return, // session already torn down
-            }
+        let Some(writer) = self.session_writer(job.session) else {
+            return; // session already torn down
         };
         {
             let mut p = job.progress.lock().unwrap_or_else(PoisonError::into_inner);
@@ -721,11 +735,7 @@ impl Shared {
             if let Some(ckpt) = &p.checkpoint {
                 let _ = ckpt.persist();
             }
-            let writer = {
-                let mut state = self.lock_state();
-                state.slot_mut(job.session).map(|s| Arc::clone(&s.writer))
-            };
-            if let Some(writer) = writer {
+            if let Some(writer) = self.session_writer(job.session) {
                 write_msg(
                     &writer,
                     &ServerMsg::Done {
@@ -931,6 +941,11 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     stream.set_nonblocking(false)?;
+                    // A job streams several small frames; with Nagle on,
+                    // each waits for the client's delayed ACK (~40 ms).
+                    if stream.set_nodelay(true).is_err() {
+                        continue; // the peer is already gone
+                    }
                     if let Ok(clone) = stream.try_clone() {
                         self.shared
                             .conns
@@ -1418,6 +1433,94 @@ mod tests {
             "corrupt checkpoints stay for loud submit-time failure"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn submit_behind_a_busy_writer_leaves_the_scheduler_free_and_the_job_hidden() {
+        let shared = Arc::new(Shared::new(ServerConfig::default()));
+        let sink = MemWriter::default();
+        let writer: SharedWriter = Arc::new(Mutex::new(Box::new(sink.clone())));
+        let sid = shared.register_session(Arc::clone(&writer), None).0;
+        // A frame of this session is being written, as to a client that
+        // stopped reading: the submit must wait for it to write
+        // `Accepted`, and until then no worker may get the job.
+        let busy = writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let submitter = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                shared.submit(
+                    sid,
+                    &JobSpec {
+                        spec: tiny_spec(1),
+                        deadline_ms: None,
+                    },
+                );
+            })
+        };
+        // Give the submit time to reach the busy writer, then probe the
+        // scheduler from a thread so a wedged state lock fails the test
+        // instead of hanging it.
+        std::thread::sleep(Duration::from_millis(50));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let probe = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let hidden = shared.lock_state().pick().is_none();
+                let _ = tx.send(hidden);
+            })
+        };
+        let hidden = rx.recv_timeout(Duration::from_secs(5));
+        drop(busy);
+        submitter.join().expect("submit thread");
+        probe.join().expect("probe thread");
+        assert_eq!(
+            hidden,
+            Ok(true),
+            "the state lock stays free and the job stays hidden until Accepted is written"
+        );
+        assert!(matches!(
+            decode_all(&sink)[..],
+            [ServerMsg::Accepted { points: 1, .. }]
+        ));
+        assert!(
+            matches!(shared.lock_state().pick(), Some(Picked::Compute(_, 0))),
+            "dispatchable once accepted"
+        );
+    }
+
+    #[test]
+    fn accepted_sockets_disable_nagle() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let shared = Arc::clone(&server.shared);
+        let handle = std::thread::spawn(move || server.run());
+        let _client = TcpStream::connect(addr).expect("connect");
+        let give_up = std::time::Instant::now() + Duration::from_secs(10);
+        let accepted = loop {
+            if let Some(conn) = shared
+                .conns
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .first()
+            {
+                break conn.try_clone().expect("clone");
+            }
+            assert!(std::time::Instant::now() < give_up, "never accepted");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert!(accepted.nodelay().expect("option readable"), "Nagle is off");
+        shared.shutdown.cancel();
+        handle
+            .join()
+            .expect("server thread")
+            .expect("clean shutdown");
     }
 
     #[test]

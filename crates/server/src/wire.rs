@@ -78,6 +78,11 @@ impl From<std::io::Error> for WireError {
 
 /// Writes one frame: 4-byte big-endian length, then the payload.
 ///
+/// Header and payload leave in a single `write_all`, so on a socket
+/// with `TCP_NODELAY` set a small frame is one segment: a header sent
+/// on its own would go out alone and leave the payload to wait for the
+/// peer's ACK.
+///
 /// # Errors
 ///
 /// [`WireError::Oversized`] if the payload exceeds [`MAX_FRAME`];
@@ -93,8 +98,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
             cap: MAX_FRAME,
         });
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -808,6 +815,41 @@ mod tests {
             let back =
                 ServerMsg::from_value(&recv(&mut buf.as_slice()).expect("frames")).expect("typed");
             assert_eq!(back, msg);
+        }
+    }
+
+    /// A sink that accepts every byte and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_header_and_payload() {
+        for payload in [&b""[..], b"{}", &[0x5A; 1000][..]] {
+            let mut sink = CountingWriter::default();
+            write_frame(&mut sink, payload).expect("frames");
+            assert_eq!(
+                sink.writes,
+                vec![4 + payload.len()],
+                "one write call carries the whole frame"
+            );
+            assert_eq!(
+                read_frame(&mut sink.bytes.as_slice()).expect("reads back"),
+                payload
+            );
         }
     }
 

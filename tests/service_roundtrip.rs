@@ -252,3 +252,70 @@ fn server_side_checkpoint_restores_a_resubmitted_grid() {
     server.join().expect("server thread").expect("clean");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn accepted_is_the_first_frame_of_every_job() {
+    use ofdm_server::wire::{self, ClientMsg, ServerMsg};
+    use std::collections::HashSet;
+
+    // Light one-point jobs keep both workers finishing points while the
+    // next submits land: a job's `Result` or `Done` written before its
+    // `Accepted` shows up here as a frame for a job not yet accepted.
+    const JOBS: u64 = 200;
+    let (addr, server) = start(ServerConfig {
+        workers: 2,
+        queue_capacity: JOBS as usize,
+        ..ServerConfig::default()
+    });
+    let mut reader = std::net::TcpStream::connect(&addr).expect("connect");
+    reader.set_nodelay(true).expect("nodelay");
+    let hello = ClientMsg::Hello {
+        client: "raw".to_owned(),
+    };
+    wire::send(&mut reader, &hello.to_value()).expect("hello");
+    let welcome = ServerMsg::from_value(&wire::recv(&mut reader).expect("frame")).expect("msg");
+    assert!(matches!(welcome, ServerMsg::Welcome { .. }), "{welcome:?}");
+
+    let mut writer = reader.try_clone().expect("clone");
+    let submitter = std::thread::spawn(move || {
+        for n in 0..JOBS {
+            let mut light = spec(StandardId::Ieee80211a, 1, 64);
+            light.snr_db = vec![12.0];
+            light.base_seed = n; // a distinct grid per job
+            let submit = ClientMsg::Submit { job: job(light) };
+            wire::send(&mut writer, &submit.to_value()).expect("submit");
+        }
+    });
+
+    let mut accepted = HashSet::new();
+    let mut done = 0;
+    while done < JOBS {
+        let msg = ServerMsg::from_value(&wire::recv(&mut reader).expect("frame")).expect("msg");
+        match msg {
+            ServerMsg::Accepted { job, points } => {
+                assert_eq!(points, 1);
+                assert!(accepted.insert(job), "job {job} accepted twice");
+            }
+            ServerMsg::Result { job, .. } | ServerMsg::Telemetry { job, .. } => {
+                assert!(
+                    accepted.contains(&job),
+                    "job {job} streamed before Accepted"
+                );
+            }
+            ServerMsg::Done { job, status, .. } => {
+                assert!(
+                    accepted.contains(&job),
+                    "job {job} finished before Accepted"
+                );
+                assert_eq!(status, "complete", "job {job}");
+                done += 1;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    submitter.join().expect("submitter thread");
+    assert_eq!(accepted.len() as u64, JOBS);
+
+    wire::send(&mut reader, &ClientMsg::Shutdown.to_value()).expect("shutdown");
+    server.join().expect("server thread").expect("clean");
+}
