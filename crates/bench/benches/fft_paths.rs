@@ -1,9 +1,11 @@
 //! FFT-path ablation (DESIGN.md §6): the radix-2 engine vs Bluestein's
 //! algorithm for the non-power-of-two DRM lengths, and scaling across the
-//! family's transform sizes.
+//! family's transform sizes. Each bench holds one `FftScratch` and calls
+//! the `*_in` forms, as the transmitter and receivers do, so Bluestein's
+//! work buffer is allocated once rather than timed on every call.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ofdm_dsp::fft::Fft;
+use ofdm_dsp::fft::{Fft, FftScratch};
 use ofdm_dsp::Complex64;
 use std::hint::black_box;
 
@@ -28,9 +30,10 @@ fn bench_engines(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new(label, n), &input, |b, input| {
             let mut buf = input.clone();
+            let mut scratch = FftScratch::new();
             b.iter(|| {
                 buf.copy_from_slice(input);
-                fft.forward(&mut buf);
+                fft.forward_in(&mut buf, &mut scratch);
                 black_box(&buf);
             });
         });
@@ -55,9 +58,10 @@ fn bench_family_sizes(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(name), &input, |b, input| {
             let mut buf = input.clone();
+            let mut scratch = FftScratch::new();
             b.iter(|| {
                 buf.copy_from_slice(input);
-                fft.inverse(&mut buf);
+                fft.inverse_in(&mut buf, &mut scratch);
                 black_box(&buf);
             });
         });

@@ -57,15 +57,13 @@ impl ShapedSymbol {
     }
 }
 
-/// Reusable scratch for [`SymbolModulator::modulate_into`]: the split
-/// subcarrier grid and the FFT work buffer, grown once and reused per
-/// symbol. The grid is kept as separate re/im arrays so the IFFT runs on
-/// [`ofdm_dsp::fft::Fft::inverse_split_in`] — the radix-4 split path for
-/// power-of-two sizes.
+/// Reusable scratch for [`SymbolModulator::modulate_into`]: the subcarrier
+/// grid and the FFT work buffer, grown once and reused per symbol. The
+/// IFFT runs in place on the grid through
+/// [`ofdm_dsp::fft::Fft::inverse_in`], the same engine every receiver uses.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolScratch {
-    grid_re: Vec<f64>,
-    grid_im: Vec<f64>,
+    grid: Vec<Complex64>,
     fft: FftScratch,
 }
 
@@ -189,15 +187,9 @@ impl SymbolModulator {
         out: &mut ShapedSymbol,
     ) {
         let n = self.fft_size;
-        let SymbolScratch {
-            grid_re,
-            grid_im,
-            fft,
-        } = scratch;
-        grid_re.clear();
-        grid_re.resize(n, 0.0);
-        grid_im.clear();
-        grid_im.resize(n, 0.0);
+        let SymbolScratch { grid, fft } = scratch;
+        grid.clear();
+        grid.resize(n, Complex64::ZERO);
         let mut occupied = 0usize;
         for &(k, v) in cells {
             let bin = if k >= 0 {
@@ -206,17 +198,15 @@ impl SymbolModulator {
                 (n as i32 + k) as usize
             };
             debug_assert!(bin < n, "carrier {k} outside the grid");
-            grid_re[bin] = v.re;
-            grid_im[bin] = v.im;
+            grid[bin] = v;
             occupied += 1;
             if self.hermitian {
                 debug_assert!(k > 0 && (k as usize) < n / 2);
-                grid_re[n - k as usize] = v.re;
-                grid_im[n - k as usize] = -v.im;
+                grid[n - k as usize] = v.conj();
                 occupied += 1;
             }
         }
-        self.fft.inverse_split_in(grid_re, grid_im, fft);
+        self.fft.inverse_in(grid, fft);
         // fft.inverse scales by 1/N; renormalize to unit power for
         // unit-energy cells: multiply by N / √occupied.
         let scale = if occupied > 0 {
@@ -224,8 +214,10 @@ impl SymbolModulator {
         } else {
             0.0
         };
-        ofdm_dsp::kernels::scale_split(grid_re, grid_im, scale);
-        self.shape_split_into(grid_re, grid_im, out);
+        for z in grid.iter_mut() {
+            *z = z.scale(scale);
+        }
+        self.shape_into(grid, out);
     }
 
     /// Applies cyclic prefix, cyclic suffix (taper region) and
@@ -234,43 +226,6 @@ impl SymbolModulator {
         let mut out = ShapedSymbol::default();
         self.shape_into(&body, &mut out);
         out
-    }
-
-    /// [`SymbolModulator::shape_into`] for a split-layout body: interleaves
-    /// straight from the IFFT's re/im arrays while laying down CP, body and
-    /// cyclic suffix, then applies the raised-cosine edges.
-    fn shape_split_into(&self, body_re: &[f64], body_im: &[f64], out: &mut ShapedSymbol) {
-        let w = self.taper.len();
-        let n = self.fft_size;
-        let samples = &mut out.samples;
-        samples.clear();
-        samples.reserve(self.cp_len + n + w);
-        let interleave = |samples: &mut Vec<Complex64>, re: &[f64], im: &[f64]| {
-            samples.extend(
-                re.iter()
-                    .zip(im.iter())
-                    .map(|(&r, &i)| Complex64::new(r, i)),
-            );
-        };
-        // Cyclic prefix.
-        interleave(
-            samples,
-            &body_re[n - self.cp_len..],
-            &body_im[n - self.cp_len..],
-        );
-        // Body.
-        interleave(samples, body_re, body_im);
-        // Cyclic suffix: first w samples repeated for the falling edge.
-        interleave(samples, &body_re[..w], &body_im[..w]);
-        // Rising edge over the first w samples, falling over the last w.
-        for i in 0..w {
-            let rise = self.taper[i];
-            samples[i] = samples[i].scale(rise);
-            let fall = self.taper[w - 1 - i];
-            let last = samples.len() - w + i;
-            samples[last] = samples[last].scale(fall);
-        }
-        out.overlap = w;
     }
 
     /// [`SymbolModulator::shape`] into a reused buffer.
@@ -373,6 +328,52 @@ mod tests {
         for (n, z) in s.samples.iter().enumerate() {
             let expect = Complex64::cis(2.0 * std::f64::consts::PI * 3.0 * n as f64 / 64.0);
             assert!((*z - expect).abs() < 1e-9, "n={n}");
+        }
+    }
+
+    #[test]
+    fn body_is_scaled_naive_inverse_dft_of_the_grid() {
+        // A random multi-carrier grid, complex and Hermitian, at an
+        // even-log2 (64) and an odd-log2 (512) size: the body equals the
+        // O(N²) inverse DFT of the grid times N/√occupied (the IFFT's 1/N
+        // cancels the N). Hermitian mode fills the mirror bin with the
+        // conjugate cell, so its body must also be real. Samples are O(1);
+        // the bound is the golden-vector tolerance.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0FD_0AC1E);
+        for (n, hermitian) in [(64usize, false), (64, true), (512, false), (512, true)] {
+            let half = n as i32 / 2;
+            let carriers = if hermitian { 1..half } else { 1 - half..half };
+            let mut cells: Vec<(i32, Complex64)> = Vec::new();
+            for k in carriers.filter(|&k| k != 0) {
+                if rng.gen_bool(0.75) {
+                    let v = Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                    cells.push((k, v));
+                }
+            }
+            let mut grid = vec![Complex64::ZERO; n];
+            for &(k, v) in &cells {
+                grid[k.rem_euclid(n as i32) as usize] = v;
+                if hermitian {
+                    grid[n - k as usize] = v.conj();
+                }
+            }
+            let occupied = cells.len() * if hermitian { 2 } else { 1 };
+            // x[t] = Σ_k X[k] e^{+i2πkt/N} = conj(DFT(conj X))[t].
+            let conj_grid: Vec<Complex64> = grid.iter().map(|z| z.conj()).collect();
+            let scale = 1.0 / (occupied as f64).sqrt();
+            let m = SymbolModulator::new(n, GuardInterval::Samples(0), 0, hermitian).unwrap();
+            let got = m.modulate(&cells).samples;
+            assert_eq!(got.len(), n);
+            for (t, x) in fft::dft_naive(&conj_grid).iter().enumerate() {
+                let want = x.conj().scale(scale);
+                let err = (got[t] - want).abs();
+                assert!(err < 1e-12, "n={n} hermitian={hermitian} t={t}: {err:.3e}");
+                if hermitian {
+                    assert!(got[t].im.abs() < 1e-12, "n={n} t={t}: imag leak");
+                }
+            }
         }
     }
 

@@ -1,13 +1,13 @@
 //! Fast Fourier transforms.
 //!
-//! Two engines hide behind one planner type, [`Fft`]:
-//!
-//! * an iterative radix-2 decimation-in-time FFT with precomputed twiddle
-//!   factors for power-of-two lengths (802.11a/g, DAB, DVB-T, HomePlug,
-//!   ADSL, VDSL all use power-of-two transforms), and
-//! * Bluestein's chirp-z algorithm for arbitrary lengths (DRM's useful
-//!   symbol lengths — 288, 256, 176, 112 samples at 12 kHz — include
-//!   non-powers of two).
+//! One engine serves every transform in the family, behind one planner
+//! type, [`Fft`]: an iterative radix-2 decimation-in-time FFT with
+//! precomputed twiddle factors. Power-of-two lengths (802.11a/g, DAB,
+//! DVB-T, HomePlug, ADSL, VDSL) run it directly; any other length (DRM's
+//! useful symbol lengths — 288, 176, 112 samples at 12 kHz) runs
+//! Bluestein's chirp-z algorithm, a circular convolution evaluated with the
+//! same radix-2 engine. The transmitter's IFFT, every receiver's FFT and
+//! the spectrum analyzer all go through the same in-place complex API.
 //!
 //! Plans are immutable after construction and `Send + Sync`, so one plan can
 //! serve many worker threads.
@@ -42,10 +42,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 pub struct Fft {
     n: usize,
     engine: Engine,
-    /// Split-layout radix-4 engine for power-of-two lengths. The complex
-    /// in-place API keeps the iterative radix-2 engine (bit-compatible
-    /// with every pre-existing caller); the split API uses this.
-    split: Option<SplitRadix4>,
 }
 
 #[derive(Debug, Clone)]
@@ -67,12 +63,7 @@ impl Fft {
         } else {
             Engine::Bluestein(Box::new(Bluestein::new(n)))
         };
-        let split = if n.is_power_of_two() && n > 1 {
-            Some(SplitRadix4::new(n))
-        } else {
-            None
-        };
-        Fft { n, engine, split }
+        Fft { n, engine }
     }
 
     /// The transform length this plan was built for.
@@ -96,42 +87,34 @@ impl Fft {
 
     /// In-place forward DFT: `X[k] = Σ_n x[n] e^{-i 2π k n / N}` (no scaling).
     ///
+    /// [`Fft::forward_in`] with a fresh scratch, so a non-power-of-two plan
+    /// allocates its Bluestein work buffer on every call; hot loops hold an
+    /// [`FftScratch`] and call [`Fft::forward_in`].
+    ///
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the plan length.
     pub fn forward(&self, buf: &mut [Complex64]) {
-        assert_eq!(buf.len(), self.n, "buffer length must match plan length");
-        match &self.engine {
-            Engine::Radix2(r) => r.transform(buf, Direction::Forward),
-            Engine::Bluestein(b) => b.transform(buf, Direction::Forward),
-        }
+        self.forward_in(buf, &mut FftScratch::new());
     }
 
     /// In-place inverse DFT with `1/N` normalization:
     /// `x[n] = (1/N) Σ_k X[k] e^{+i 2π k n / N}`.
     ///
+    /// [`Fft::inverse_in`] with a fresh scratch; see [`Fft::forward`].
+    ///
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the plan length.
     pub fn inverse(&self, buf: &mut [Complex64]) {
-        assert_eq!(buf.len(), self.n, "buffer length must match plan length");
-        match &self.engine {
-            Engine::Radix2(r) => r.transform(buf, Direction::Inverse),
-            Engine::Bluestein(b) => b.transform(buf, Direction::Inverse),
-        }
-        let scale = 1.0 / self.n as f64;
-        for z in buf.iter_mut() {
-            *z = z.scale(scale);
-        }
+        self.inverse_in(buf, &mut FftScratch::new());
     }
 
     /// In-place forward DFT reusing caller-provided scratch.
     ///
-    /// Numerically identical to [`Fft::forward`]; the only difference is
-    /// that the Bluestein convolution buffer comes from `scratch` instead of
-    /// a fresh allocation, so a long-lived scratch makes repeated transforms
-    /// allocation-free after warm-up. The radix-2 engine needs no scratch
-    /// and ignores it.
+    /// The Bluestein convolution buffer comes from `scratch`, so a
+    /// long-lived scratch makes repeated transforms allocation-free after
+    /// warm-up. The radix-2 engine needs no scratch and ignores it.
     ///
     /// # Panics
     ///
@@ -159,82 +142,6 @@ impl Fft {
         let scale = 1.0 / self.n as f64;
         for z in buf.iter_mut() {
             *z = z.scale(scale);
-        }
-    }
-
-    /// In-place forward DFT over split `re`/`im` component slices.
-    ///
-    /// Power-of-two lengths run a recursive radix-4
-    /// decimation-in-time engine directly on the flat `f64` arrays — the
-    /// structure-of-arrays hot path (numerically equivalent to the complex
-    /// engine to last-ulp reassociation, not bit-identical). Other lengths
-    /// interleave into scratch, run the complex engine, and deinterleave,
-    /// reproducing [`Fft::forward_in`] bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either component length differs from the plan length.
-    pub fn forward_split_in(&self, re: &mut [f64], im: &mut [f64], scratch: &mut FftScratch) {
-        self.split_transform(re, im, scratch, Direction::Forward);
-    }
-
-    /// In-place inverse DFT (with `1/N` scaling) over split `re`/`im`
-    /// component slices. See [`Fft::forward_split_in`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either component length differs from the plan length.
-    pub fn inverse_split_in(&self, re: &mut [f64], im: &mut [f64], scratch: &mut FftScratch) {
-        self.split_transform(re, im, scratch, Direction::Inverse);
-        let scale = 1.0 / self.n as f64;
-        for r in re.iter_mut() {
-            *r *= scale;
-        }
-        for i in im.iter_mut() {
-            *i *= scale;
-        }
-    }
-
-    fn split_transform(
-        &self,
-        re: &mut [f64],
-        im: &mut [f64],
-        scratch: &mut FftScratch,
-        dir: Direction,
-    ) {
-        assert_eq!(re.len(), self.n, "re length must match plan length");
-        assert_eq!(im.len(), self.n, "im length must match plan length");
-        if let Some(split) = &self.split {
-            let FftScratch {
-                split_re, split_im, ..
-            } = scratch;
-            split_re.clear();
-            split_re.extend_from_slice(re);
-            split_im.clear();
-            split_im.extend_from_slice(im);
-            split.transform(split_re, split_im, re, im, dir);
-            return;
-        }
-        if self.n == 1 {
-            return; // identity transform
-        }
-        // Non-power-of-two: bridge through the complex engine so the split
-        // API is exactly as accurate as the interleaved one.
-        let FftScratch { work, inter, .. } = scratch;
-        inter.clear();
-        inter.reserve(self.n);
-        inter.extend(
-            re.iter()
-                .zip(im.iter())
-                .map(|(&r, &i)| Complex64::new(r, i)),
-        );
-        match &self.engine {
-            Engine::Radix2(r) => r.transform(inter, dir),
-            Engine::Bluestein(b) => b.transform_with(inter, dir, work),
-        }
-        for (k, z) in inter.iter().enumerate() {
-            re[k] = z.re;
-            im[k] = z.im;
         }
     }
 
@@ -317,158 +224,6 @@ impl Radix2 {
     }
 }
 
-/// Recursive radix-4 decimation-in-time engine over split `re`/`im`
-/// arrays — the structure-of-arrays FFT path for power-of-two lengths.
-///
-/// The recursion divides by four each level; an odd power of two bottoms
-/// out in the length-2 base case, so every `2^k` is covered. Each combine
-/// level is a flat loop over four disjoint `f64` quarter-slices with
-/// precomputed twiddles: no complex-struct shuffling, nothing to block the
-/// autovectorizer. Radix-4 also needs ~25% fewer twiddle multiplies than
-/// radix-2.
-#[derive(Debug, Clone)]
-struct SplitRadix4 {
-    n: usize,
-    /// Root twiddle table, `w[j] = e^{-i 2π j / N}` for `j in 0..N`:
-    /// `W_n^k` at any recursion level `n` is `w[k·(N/n)]`.
-    tw_re: Vec<f64>,
-    tw_im: Vec<f64>,
-}
-
-impl SplitRadix4 {
-    fn new(n: usize) -> Self {
-        debug_assert!(n.is_power_of_two() && n > 1);
-        let mut tw_re = Vec::with_capacity(n);
-        let mut tw_im = Vec::with_capacity(n);
-        for j in 0..n {
-            let w = Complex64::cis(-2.0 * PI * j as f64 / n as f64);
-            tw_re.push(w.re);
-            tw_im.push(w.im);
-        }
-        SplitRadix4 { n, tw_re, tw_im }
-    }
-
-    /// Out-of-place transform: reads `(src_re, src_im)`, writes
-    /// `(dst_re, dst_im)`. All four slices are `n` long.
-    fn transform(
-        &self,
-        src_re: &[f64],
-        src_im: &[f64],
-        dst_re: &mut [f64],
-        dst_im: &mut [f64],
-        dir: Direction,
-    ) {
-        self.rec(src_re, src_im, 0, 1, dst_re, dst_im, dir);
-    }
-
-    /// Transforms the `dst.len()`-point subsequence of `src` starting at
-    /// `base` with the given `stride` into `dst`.
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        &self,
-        src_re: &[f64],
-        src_im: &[f64],
-        base: usize,
-        stride: usize,
-        dst_re: &mut [f64],
-        dst_im: &mut [f64],
-        dir: Direction,
-    ) {
-        let n = dst_re.len();
-        match n {
-            1 => {
-                dst_re[0] = src_re[base];
-                dst_im[0] = src_im[base];
-            }
-            2 => {
-                let (ar, ai) = (src_re[base], src_im[base]);
-                let (br, bi) = (src_re[base + stride], src_im[base + stride]);
-                dst_re[0] = ar + br;
-                dst_im[0] = ai + bi;
-                dst_re[1] = ar - br;
-                dst_im[1] = ai - bi;
-            }
-            _ => {
-                let q = n / 4;
-                {
-                    let (d01_re, d23_re) = dst_re.split_at_mut(2 * q);
-                    let (d0_re, d1_re) = d01_re.split_at_mut(q);
-                    let (d2_re, d3_re) = d23_re.split_at_mut(q);
-                    let (d01_im, d23_im) = dst_im.split_at_mut(2 * q);
-                    let (d0_im, d1_im) = d01_im.split_at_mut(q);
-                    let (d2_im, d3_im) = d23_im.split_at_mut(q);
-                    let s4 = stride * 4;
-                    self.rec(src_re, src_im, base, s4, d0_re, d0_im, dir);
-                    self.rec(src_re, src_im, base + stride, s4, d1_re, d1_im, dir);
-                    self.rec(src_re, src_im, base + 2 * stride, s4, d2_re, d2_im, dir);
-                    self.rec(src_re, src_im, base + 3 * stride, s4, d3_re, d3_im, dir);
-                }
-                self.combine(dst_re, dst_im, q, dir);
-            }
-        }
-    }
-
-    /// The radix-4 butterfly level: combines four length-`q` quarter
-    /// transforms sitting contiguously in `dst` into one length-`4q`
-    /// transform.
-    fn combine(&self, dst_re: &mut [f64], dst_im: &mut [f64], q: usize, dir: Direction) {
-        // Twiddle index step for this level: W_n^k = w[k · (N/n)].
-        let step = self.n / (4 * q);
-        let (d01_re, d23_re) = dst_re.split_at_mut(2 * q);
-        let (d0_re, d1_re) = d01_re.split_at_mut(q);
-        let (d2_re, d3_re) = d23_re.split_at_mut(q);
-        let (d01_im, d23_im) = dst_im.split_at_mut(2 * q);
-        let (d0_im, d1_im) = d01_im.split_at_mut(q);
-        let (d2_im, d3_im) = d23_im.split_at_mut(q);
-        let inverse = dir == Direction::Inverse;
-        for k in 0..q {
-            let j = k * step;
-            let (w1r, mut w1i) = (self.tw_re[j], self.tw_im[j]);
-            let (w2r, mut w2i) = (self.tw_re[2 * j], self.tw_im[2 * j]);
-            let (w3r, mut w3i) = (self.tw_re[3 * j], self.tw_im[3 * j]);
-            if inverse {
-                w1i = -w1i;
-                w2i = -w2i;
-                w3i = -w3i;
-            }
-            let (ar, ai) = (d0_re[k], d0_im[k]);
-            let (br, bi) = (
-                d1_re[k] * w1r - d1_im[k] * w1i,
-                d1_re[k] * w1i + d1_im[k] * w1r,
-            );
-            let (cr, ci) = (
-                d2_re[k] * w2r - d2_im[k] * w2i,
-                d2_re[k] * w2i + d2_im[k] * w2r,
-            );
-            let (dr, di) = (
-                d3_re[k] * w3r - d3_im[k] * w3i,
-                d3_re[k] * w3i + d3_im[k] * w3r,
-            );
-            let (t0r, t0i) = (ar + cr, ai + ci);
-            let (t1r, t1i) = (ar - cr, ai - ci);
-            let (t2r, t2i) = (br + dr, bi + di);
-            let (t3r, t3i) = (br - dr, bi - di);
-            d0_re[k] = t0r + t2r;
-            d0_im[k] = t0i + t2i;
-            d2_re[k] = t0r - t2r;
-            d2_im[k] = t0i - t2i;
-            // Forward: X[k+q] = t1 − i·t3, X[k+3q] = t1 + i·t3 (swapped
-            // for the inverse). ±i·(x+iy) = ∓y ± ix.
-            if inverse {
-                d1_re[k] = t1r - t3i;
-                d1_im[k] = t1i + t3r;
-                d3_re[k] = t1r + t3i;
-                d3_im[k] = t1i - t3r;
-            } else {
-                d1_re[k] = t1r + t3i;
-                d1_im[k] = t1i - t3r;
-                d3_re[k] = t1r - t3i;
-                d3_im[k] = t1i + t3r;
-            }
-        }
-    }
-}
-
 /// Bluestein chirp-z engine for arbitrary lengths.
 ///
 /// Expresses a length-`n` DFT as a circular convolution of length `m` (the
@@ -512,10 +267,6 @@ impl Bluestein {
         }
     }
 
-    fn transform(&self, buf: &mut [Complex64], dir: Direction) {
-        self.transform_with(buf, dir, &mut Vec::new());
-    }
-
     fn transform_with(&self, buf: &mut [Complex64], dir: Direction, work: &mut Vec<Complex64>) {
         let n = self.n;
         let m = self.m;
@@ -551,7 +302,9 @@ impl Bluestein {
     }
 }
 
-/// Reusable scratch memory for [`Fft::forward_in`] / [`Fft::inverse_in`].
+/// Reusable scratch memory for [`Fft::forward_in`] / [`Fft::inverse_in`]:
+/// the Bluestein convolution buffer, the only memory a transform needs
+/// beyond its in-place data.
 ///
 /// One scratch may serve plans of any length (it grows to the largest
 /// Bluestein convolution size it has seen and is reused thereafter). It is
@@ -559,11 +312,6 @@ impl Bluestein {
 #[derive(Debug, Clone, Default)]
 pub struct FftScratch {
     work: Vec<Complex64>,
-    /// Interleave bridge for the split API on non-power-of-two lengths.
-    inter: Vec<Complex64>,
-    /// Source copies for the out-of-place split radix-4 recursion.
-    split_re: Vec<f64>,
-    split_im: Vec<f64>,
 }
 
 impl FftScratch {
@@ -647,14 +395,17 @@ pub fn plan(n: usize) -> Arc<Fft> {
 }
 
 /// Computes the DFT by direct summation — O(N²), used as a test oracle.
+///
+/// Each term's twiddle is read from a table of the `n` roots of unity at
+/// index `(k·t) mod n`, so every angle is exact to one rounding of
+/// `2πj/n` with `j < n` instead of growing with the unreduced product.
 pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
     let n = input.len();
+    let roots: Vec<Complex64> = (0..n)
+        .map(|j| Complex64::cis(-2.0 * PI * j as f64 / n as f64))
+        .collect();
     (0..n)
-        .map(|k| {
-            (0..n)
-                .map(|t| input[t] * Complex64::cis(-2.0 * PI * (k * t) as f64 / n as f64))
-                .sum()
-        })
+        .map(|k| (0..n).map(|t| input[t] * roots[(k * t) % n]).sum())
         .collect()
 }
 
@@ -816,92 +567,6 @@ mod tests {
             fft.inverse_in(&mut reuse, &mut scratch);
             assert_eq!(alloc, reuse, "inverse n={n}");
         }
-    }
-
-    fn split_input(n: usize) -> (Vec<f64>, Vec<f64>) {
-        let re = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let im = (0..n).map(|i| (i as f64 * 0.71).cos()).collect();
-        (re, im)
-    }
-
-    fn joined(re: &[f64], im: &[f64]) -> Vec<Complex64> {
-        re.iter()
-            .zip(im)
-            .map(|(&r, &i)| Complex64::new(r, i))
-            .collect()
-    }
-
-    #[test]
-    fn split_forward_matches_naive_dft() {
-        // Covers even and odd log2 (radix-4 bottoms out in the length-2
-        // base case for odd powers) plus the Bluestein bridge.
-        let mut scratch = FftScratch::new();
-        for n in [1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 36, 288] {
-            let fft = Fft::new(n);
-            let (mut re, mut im) = split_input(n);
-            let expect = dft_naive(&joined(&re, &im));
-            fft.forward_split_in(&mut re, &mut im, &mut scratch);
-            assert!(max_err(&joined(&re, &im), &expect) < 1e-9, "n={n}");
-        }
-    }
-
-    #[test]
-    fn split_non_pow2_is_bit_identical_to_complex_path() {
-        // Non-power-of-two lengths (DRM's 288 among them) bridge through
-        // the complex engine: exactly the same arithmetic, bit for bit.
-        let mut scratch = FftScratch::new();
-        for n in [36usize, 112, 288] {
-            let fft = Fft::new(n);
-            let (mut re, mut im) = split_input(n);
-            let mut complex = joined(&re, &im);
-            fft.forward_in(&mut complex, &mut scratch);
-            fft.forward_split_in(&mut re, &mut im, &mut scratch);
-            assert_eq!(joined(&re, &im), complex, "forward n={n}");
-            fft.inverse_in(&mut complex, &mut scratch);
-            fft.inverse_split_in(&mut re, &mut im, &mut scratch);
-            assert_eq!(joined(&re, &im), complex, "inverse n={n}");
-        }
-    }
-
-    #[test]
-    fn split_pow2_stays_within_golden_tolerance_of_radix2() {
-        // The radix-4 split engine reassociates relative to the radix-2
-        // complex engine; drift must stay far under the 1e-12 golden-vector
-        // tolerance for the paper standards' sizes (64, 512) and beyond.
-        let mut scratch = FftScratch::new();
-        for n in [64usize, 512, 2048] {
-            let fft = Fft::new(n);
-            let (mut re, mut im) = split_input(n);
-            let mut complex = joined(&re, &im);
-            fft.inverse_in(&mut complex, &mut scratch);
-            fft.inverse_split_in(&mut re, &mut im, &mut scratch);
-            assert!(max_err(&joined(&re, &im), &complex) < 1e-13, "n={n}");
-        }
-    }
-
-    #[test]
-    fn split_roundtrip_identity() {
-        let mut scratch = FftScratch::new();
-        for n in [2usize, 8, 64, 256, 100] {
-            let fft = Fft::new(n);
-            let (orig_re, orig_im) = split_input(n);
-            let (mut re, mut im) = (orig_re.clone(), orig_im.clone());
-            fft.forward_split_in(&mut re, &mut im, &mut scratch);
-            fft.inverse_split_in(&mut re, &mut im, &mut scratch);
-            assert!(
-                max_err(&joined(&re, &im), &joined(&orig_re, &orig_im)) < 1e-9,
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length must match")]
-    fn split_wrong_length_panics() {
-        let fft = Fft::new(8);
-        let mut re = vec![0.0; 8];
-        let mut im = vec![0.0; 4];
-        fft.forward_split_in(&mut re, &mut im, &mut FftScratch::new());
     }
 
     #[test]

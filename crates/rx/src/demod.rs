@@ -47,11 +47,9 @@ impl OfdmDemodulator {
     }
 
     /// Gathers the FFT window from split re/im slices into the interleaved
-    /// complex buffer the (radix-2) complex engine expects. Gathering and
-    /// using `Fft::forward` keeps the split entry points bit-identical to
-    /// the `&[Complex64]` ones — the radix-4 split engine is only
-    /// equivalent to last-ulp reassociation, which would break the
-    /// registry-wide bit-exactness assertions.
+    /// complex buffer the FFT transforms in place, so the split entry
+    /// points run the same arithmetic as the `&[Complex64]` ones and stay
+    /// bit-identical to them.
     fn gather_window(&self, re: &[f64], im: &[f64], start: usize) -> Vec<Complex64> {
         (start..start + self.fft_size)
             .map(|i| Complex64::new(re[i], im[i]))

@@ -11,7 +11,7 @@ use ofdm_core::scramble::{Scrambler, ScramblerSpec};
 use ofdm_core::source::OfdmSource;
 use ofdm_core::symbol::GuardInterval;
 use ofdm_core::{MotherModel, StreamState};
-use ofdm_dsp::fft::{dft_naive, Fft};
+use ofdm_dsp::fft::{self, dft_naive, Fft, FftScratch};
 use ofdm_dsp::Complex64;
 use ofdm_rx::fec::ViterbiDecoder;
 use ofdm_rx::receiver::ReferenceReceiver;
@@ -184,6 +184,64 @@ proptest! {
         let frame = tx.transmit(&payload).expect("tx");
         let p = frame.signal().power();
         prop_assert!((p - 1.0).abs() < 1e-9, "power {p}");
+    }
+}
+
+/// Forward and inverse FFT against the O(N²) DFT oracle at every transform
+/// length the registry uses, DRM's other non-power-of-two modes (112, 176)
+/// and the prime lengths 7, 11, 97 and 257, which take the Bluestein path.
+///
+/// The per-bin bound on the forward error is `4ε(√n + log2 n + 2)·‖x‖₂`:
+/// the oracle's n-term sums drift like `ε√n·‖x‖₂`, the radix-2 engine
+/// (or Bluestein's radix-2 convolution of length < 4n) like
+/// `ε·log2(m)·‖x‖₂` per bin. The inverse carries the `1/n` factor, so
+/// its bound is the same divided by n.
+#[test]
+fn fft_matches_naive_dft_at_registry_sizes() {
+    let mut sizes: Vec<usize> = StandardId::ALL
+        .iter()
+        .map(|&id| default_params(id).map.fft_size())
+        .chain([7, 11, 97, 112, 176, 257])
+        .collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    let mut state = 0xFF7_5EED_u64;
+    let mut scratch = FftScratch::new();
+    for n in sizes {
+        let x: Vec<Complex64> = (0..n)
+            .map(|_| {
+                let re = (splitmix(&mut state) >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+                let im = (splitmix(&mut state) >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+                Complex64::new(re, im)
+            })
+            .collect();
+        let norm = x.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+        let nf = n as f64;
+        let tol = 4.0 * f64::EPSILON * (nf.sqrt() + nf.log2() + 2.0) * norm;
+        let plan = fft::plan(n);
+
+        let mut forward = x.clone();
+        plan.forward_in(&mut forward, &mut scratch);
+        for (k, (got, want)) in forward.iter().zip(dft_naive(&x)).enumerate() {
+            let err = (*got - want).abs();
+            assert!(
+                err <= tol,
+                "forward n={n} bin {k}: err {err:.3e} > {tol:.3e}"
+            );
+        }
+
+        // The inverse DFT is conj(DFT(conj x)) / n.
+        let mut inverse = x.clone();
+        plan.inverse_in(&mut inverse, &mut scratch);
+        let conj: Vec<Complex64> = x.iter().map(|z| z.conj()).collect();
+        for (t, (got, want)) in inverse.iter().zip(dft_naive(&conj)).enumerate() {
+            let err = (*got - want.conj().scale(1.0 / nf)).abs();
+            assert!(
+                err <= tol / nf,
+                "inverse n={n} sample {t}: err {err:.3e} > {:.3e}",
+                tol / nf
+            );
+        }
     }
 }
 

@@ -2,9 +2,10 @@
 //! refactor: for every member of the ten-standard family, the batched
 //! split-component kernels must reproduce the retained scalar paths —
 //! bit-exactly where the arithmetic is identical (PA scalar twins, the
-//! streaming transmitter) and within a 1e-12 numerical bound where
-//! floating-point reassociation is inherent (the polar PA oracle, the
-//! radix-4 split FFT vs the complex engine).
+//! streaming transmitter, the split-layout receiver) and within a 1e-12
+//! numerical bound where floating-point reassociation is inherent (the
+//! polar PA oracle). FFT accuracy is held against the naive DFT oracle in
+//! `tests/properties.rs`.
 //!
 //! The frozen golden waveforms in `tests/golden_vectors.rs` pin the same
 //! contract against pre-refactor history; this suite pins the live scalar
@@ -13,7 +14,7 @@
 
 use ofdm_core::source::OfdmSource;
 use ofdm_core::MotherModel;
-use ofdm_dsp::{fft, kernels, Complex64};
+use ofdm_dsp::{kernels, Complex64};
 use ofdm_standards::{default_params, StandardId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,50 +126,8 @@ fn pa_scalar_twins_are_bit_exact_on_every_standard() {
     }
 }
 
-/// The split-array FFT path (radix-4 for powers of two, complex-engine
-/// bridge otherwise) matches the complex interleaved engine within 1e-12
-/// of the signal scale at every FFT size the registry uses, both
-/// directions.
-#[test]
-fn fft_split_path_matches_complex_engine_at_registry_sizes() {
-    let mut sizes: Vec<usize> = StandardId::ALL
-        .iter()
-        .map(|&id| default_params(id).map.fft_size())
-        .collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-    let mut rng = StdRng::seed_from_u64(0xFF7_5EED);
-    let mut scratch = fft::FftScratch::new();
-    for n in sizes {
-        let plan = fft::plan(n);
-        let data: Vec<Complex64> = (0..n)
-            .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
-        for forward in [true, false] {
-            let mut complex = data.clone();
-            let mut re: Vec<f64> = data.iter().map(|z| z.re).collect();
-            let mut im: Vec<f64> = data.iter().map(|z| z.im).collect();
-            if forward {
-                plan.forward_in(&mut complex, &mut scratch);
-                plan.forward_split_in(&mut re, &mut im, &mut scratch);
-            } else {
-                plan.inverse_in(&mut complex, &mut scratch);
-                plan.inverse_split_in(&mut re, &mut im, &mut scratch);
-            }
-            let rms = (complex.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64).sqrt();
-            for (k, &want) in complex.iter().enumerate() {
-                let err = (Complex64::new(re[k], im[k]) - want).norm_sqr().sqrt();
-                assert!(
-                    err <= 1e-12 * (1.0 + rms),
-                    "n={n} forward={forward} bin {k}: err {err:.3e}"
-                );
-            }
-        }
-    }
-}
-
-/// The streaming transmitter (split grid, precomputed pilot templates and
-/// symbol plans, reused scratch) emits exactly the batch frame for every
+/// The streaming transmitter (precomputed pilot templates and symbol
+/// plans, reused scratch) emits exactly the batch frame for every
 /// standard at every chunking — the SoA hot path may not perturb a single
 /// bit of the waveform.
 #[test]
